@@ -254,7 +254,7 @@ int main() {
     return 1;
   }
   std::fprintf(json, "{\n");
-  PrintHostJson(json, 0);
+  PrintHostJson(json);
   std::fprintf(json,
                "  \"sample_rows\": %zu,\n"
                "  \"wal_record_bytes\": %zu,\n"

@@ -20,18 +20,16 @@ namespace bench {
 
 /// Emit the host-context fields every BENCH_*.json carries, so a
 /// recorded number is never read without the hardware it was measured
-/// on: hardware thread count, the SIMD ISA the executor actually
-/// dispatched to (after any MOSAIC_SIMD override, recorded verbatim),
-/// and the morsel pool size the run used.
-inline void PrintHostJson(std::FILE* json, size_t morsel_threads) {
+/// on: hardware thread count and the SIMD ISA the executor actually
+/// dispatched to (after any MOSAIC_SIMD override, recorded verbatim).
+inline void PrintHostJson(std::FILE* json) {
   const char* simd_env = std::getenv("MOSAIC_SIMD");
   std::fprintf(json,
                "  \"host\": {\"hardware_threads\": %u, "
-               "\"simd_isa\": \"%s\", \"simd_env\": \"%s\", "
-               "\"morsel_threads\": %zu},\n",
+               "\"simd_isa\": \"%s\", \"simd_env\": \"%s\"},\n",
                static_cast<unsigned>(HardwareThreads()),
                exec::simd::ActiveIsaName(),
-               simd_env != nullptr ? simd_env : "", morsel_threads);
+               simd_env != nullptr ? simd_env : "");
 }
 
 inline void Check(const Status& status, const char* what) {

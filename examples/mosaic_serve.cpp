@@ -11,7 +11,6 @@
 //     --request-threads=N      request pool size          (default 4)
 //     --generation-threads=N   OPEN generation pool size  (default 4)
 //     --max-connections=N      concurrent connection cap  (default 64)
-//     --morsels=N              intra-query morsel size    (default off)
 //     --metrics-port=N         serve Prometheus text on
 //                              http://HOST:N/metrics (default off;
 //                              0 = ephemeral, port printed at startup)
@@ -50,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,6 +69,11 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStopSignal(int) { g_stop = 1; }
+
+/// Longest snapshot interval steady_clock can represent.
+constexpr std::chrono::seconds kMaxSnapshotInterval =
+    std::chrono::duration_cast<std::chrono::seconds>(
+        std::chrono::steady_clock::duration::max());
 
 bool NumericFlag(const char* arg, const char* name, uint64_t* out) {
   return mosaic::NumericFlag(arg, name, out, "mosaic_serve");
@@ -121,7 +126,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string log_json_path;
   uint64_t log_json_max_bytes = elog::EventLog::kDefaultMaxBytes;
-  uint64_t morsel_size = 0;
   uint64_t snapshot_interval_s = 300;
   bool demo_world = false;
   bool metrics_enabled = false;
@@ -146,8 +150,6 @@ int main(int argc, char** argv) {
       service_opts.num_generation_threads = n;
     } else if (NumericFlag(arg, "max-connections", &n)) {
       server_opts.max_connections = n;
-    } else if (NumericFlag(arg, "morsels", &n)) {
-      morsel_size = n;
     } else if (NumericFlag(arg, "metrics-port", &n)) {
       if (n > 65535) {
         std::fprintf(stderr,
@@ -158,8 +160,23 @@ int main(int argc, char** argv) {
       metrics_enabled = true;
       metrics_port = n;
     } else if (NumericFlag(arg, "slow-query-ms", &n)) {
+      if (n > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+        std::fprintf(stderr,
+                     "mosaic_serve: --slow-query-ms=%llu out of range\n",
+                     static_cast<unsigned long long>(n));
+        return 2;
+      }
       service_opts.slow_query_ms = static_cast<int64_t>(n);
     } else if (NumericFlag(arg, "snapshot-interval-s", &n)) {
+      // The interval is compared against steady_clock durations, so
+      // it must fit that clock's range (~292 years).
+      if (n > static_cast<uint64_t>(kMaxSnapshotInterval.count())) {
+        std::fprintf(stderr,
+                     "mosaic_serve: --snapshot-interval-s=%llu out of "
+                     "range\n",
+                     static_cast<unsigned long long>(n));
+        return 2;
+      }
       snapshot_interval_s = n;
     } else if (std::strcmp(arg, "--trace") == 0) {
       service_opts.trace_queries = true;
@@ -180,7 +197,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  service_opts.morsel_size = static_cast<size_t>(morsel_size);
 
   // Open the structured event sink before the service exists so
   // recovery events from the durable engine land in it too.
@@ -332,7 +348,7 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleStopSignal);
   const bool durable = service.storage_engine() != nullptr;
   const auto snapshot_interval =
-      std::chrono::seconds(snapshot_interval_s);
+      std::chrono::seconds(static_cast<int64_t>(snapshot_interval_s));
   auto last_snapshot = std::chrono::steady_clock::now();
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, and run the test suite in Release
-# mode (plain and morsel-parallel), again under AddressSanitizer
-# (MOSAIC_SANITIZE=address), and a ThreadSanitizer pass over the
-# concurrency-sensitive tests (the query service routes reads through
-# the shared-lock batch executor and morsels fan intra-query work onto
-# the shared request pool, so the TSan leg is not optional). A static
+# mode, again under AddressSanitizer (MOSAIC_SANITIZE=address), and a
+# ThreadSanitizer pass over the concurrency-sensitive tests (the query
+# service routes concurrent reads through the shared-lock batch
+# executor and fans OPEN generation onto a pool, so the TSan leg is
+# not optional). A static
 # leg (lint gate + Clang thread-safety analysis + clang-tidy) runs
 # first when the tooling is present. Pass "fast" as $1 to skip the
 # static and TSan legs for quick local iterations.
@@ -61,6 +61,12 @@ run_server_e2e() {
     fi
     kill -TERM "${server_pid}"
     wait "${server_pid}"   # non-zero (unclean drain) fails the script
+    # An interval past the clock's range is a usage error (exit 2),
+    # not a negative interval that snapshots every tick.
+    local rc=0
+    timeout 10 "${build_dir}/mosaic_serve" --port=0 \
+      --snapshot-interval-s=9223372036854775808 2>/dev/null || rc=$?
+    [[ "${rc}" -eq 2 ]] || { echo "ERROR: --snapshot-interval-s=2^63 exited ${rc}, want 2" >&2; exit 1; }
     return 0
   done
   echo "ERROR: server E2E failed after ${attempts} attempts" >&2
@@ -214,24 +220,11 @@ run_suite "Release" build-release -DCMAKE_BUILD_TYPE=Release
 run_server_e2e "Release" build-release
 run_crash_recovery "Release" build-release
 
-# Morsel leg: every suite again with morsel-split batch execution
-# (MOSAIC_MORSELS sets the engine-wide morsel size; results must be
-# bit-identical, so every existing assertion doubles as a parity
-# check).
-echo "=== Release + MOSAIC_MORSELS=4: ctest ==="
-MOSAIC_MORSELS=4 ctest --test-dir build-release --output-on-failure \
-  -j "${JOBS}"
-
-# Weight-epoch pinning must hold on all three exec paths. The morsel
-# leg above already raced it through morsel-split batch execution;
-# run the concurrency suite again through the row-path oracle, and
-# once more with morsels + row path combined for good measure.
+# Weight-epoch pinning must hold on both exec paths: run the
+# concurrency suite again through the row-path oracle.
 echo "=== Release + MOSAIC_ROW_PATH=1: weight-epoch concurrency ==="
 MOSAIC_ROW_PATH=1 ctest --test-dir build-release --output-on-failure \
   -R 'test_(weight_epochs|service)'
-echo "=== Release + MOSAIC_MORSELS=4 + MOSAIC_ROW_PATH=1: weight-epoch concurrency ==="
-MOSAIC_MORSELS=4 MOSAIC_ROW_PATH=1 ctest --test-dir build-release \
-  --output-on-failure -R 'test_(weight_epochs|service)'
 
 # Tracing must never change results: run the cross-path SQL parity
 # fuzzer and the service suite with per-query tracing forced on, so
@@ -244,9 +237,6 @@ MOSAIC_MORSELS=4 MOSAIC_ROW_PATH=1 ctest --test-dir build-release \
 echo "=== Release + MOSAIC_TRACE=1: traced parity ==="
 MOSAIC_TRACE=1 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|service|net_e2e|system_tables)'
-echo "=== Release + MOSAIC_TRACE=1 + MOSAIC_MORSELS=4: traced parity ==="
-MOSAIC_TRACE=1 MOSAIC_MORSELS=4 ctest --test-dir build-release \
-  --output-on-failure -R 'test_(sql_fuzz|service|net_e2e|system_tables)'
 
 # Scalar-parity leg: the SIMD kernels must be bit-identical to the
 # scalar reference end to end, not just per kernel. MOSAIC_SIMD=0
@@ -258,20 +248,21 @@ echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|exec_parity|simd_kernels)'
 
-# UBSan leg over the executor tests plus the durable storage suites:
-# the SIMD layer leans on casts, bit tricks, and alignment
-# assumptions, and the storage engine adds mmap'd column reads and
-# byte-level (de)serialization on top; undefined-behavior findings
-# there must fail CI even when the answers happen to come out right.
-echo "=== UBSan: executor + kernel + storage tests ==="
+# UBSan leg over the executor tests, the durable storage suites, and
+# the service suite: the SIMD layer leans on casts, bit tricks, and
+# alignment assumptions, the storage engine adds mmap'd column reads
+# and byte-level (de)serialization on top, and the service scales
+# operator-supplied thresholds; undefined-behavior findings there
+# must fail CI even when the answers happen to come out right.
+echo "=== UBSan: executor + kernel + storage + service tests ==="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=undefined
 cmake --build build-ubsan -j "${JOBS}" --target \
   test_simd_kernels test_exec_parity test_executor test_sql_fuzz \
-  test_durable test_durable_recovery
+  test_durable test_durable_recovery test_service
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
-  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery)'
+  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|service)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a
@@ -281,11 +272,12 @@ echo "=== Release: bench JSON smoke ==="
   cd build-release
   MOSAIC_BENCH_ROWS=20000 ./bench_executor >/dev/null
   ./bench_net 2 50 >/dev/null
+  ./bench_durable >/dev/null
   python3 - <<'EOF'
 import json, sys
 for name, want_latency in [("BENCH_executor.json", True),
-                           ("BENCH_morsel.json", True),
-                           ("BENCH_net.json", True)]:
+                           ("BENCH_net.json", True),
+                           ("BENCH_durable.json", False)]:
     with open(name) as f:
         doc = json.load(f)
     hists = []
@@ -329,9 +321,8 @@ run_crash_recovery "ASan" build-asan
 if [[ "${1:-}" != "fast" ]]; then
   # TSan pass over the threaded subsystem tests (the full suite under
   # TSan is slow; these are the tests that exercise concurrency —
-  # concurrent reads through the batch executor, morsel fan-out on the
-  # shared request pool, and the cross-path SQL fuzzer's parallel
-  # morsel runs).
+  # concurrent reads through the batch executor, parallel OPEN
+  # generation, and the service-level readers and writers).
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMOSAIC_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" --target \
@@ -340,11 +331,9 @@ if [[ "${1:-}" != "fast" ]]; then
     test_system_tables test_event_log
   ctest --test-dir build-tsan --output-on-failure \
     -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
-  # And once more with engine-wide morsels on (so every service-level
-  # query also fans intra-query morsels across the request pool) plus
-  # tracing forced on, racing the query-log ring and the system-table
-  # readers against traced execution.
-  MOSAIC_MORSELS=4 MOSAIC_TRACE=1 ctest --test-dir build-tsan \
+  # And once more with tracing forced on, racing the query-log ring
+  # and the system-table readers against traced execution.
+  MOSAIC_TRACE=1 ctest --test-dir build-tsan \
     --output-on-failure \
     -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
 fi

@@ -15,7 +15,7 @@
 //   - Critical sections use the scoped guards (MutexLock, ReaderLock,
 //     WriterLock), never bare Lock()/Unlock() pairs, so the analysis
 //     sees every acquire/release and exceptions cannot leak a lock.
-//   - Condition waits go through CondVar, whose Wait* methods take the
+//   - Condition waits go through CondVar, whose Wait method takes the
 //     MutexLock by reference: the lock is held before and after the
 //     wait, which is exactly what the (condvar-oblivious) analysis
 //     assumes. Wait predicates are written as explicit while-loops at
@@ -30,7 +30,6 @@
 #ifndef MOSAIC_COMMON_SYNCHRONIZATION_H_
 #define MOSAIC_COMMON_SYNCHRONIZATION_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -197,15 +196,6 @@ class CondVar {
 
   /// Atomically release `lock`, wait for a notification, reacquire.
   void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  /// Wait with a timeout; returns false on timeout. Predicate-free on
-  /// purpose (see the lambda note in the file comment) — loop at the
-  /// call site.
-  template <typename Rep, typename Period>
-  bool WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout) {
-    return cv_.wait_for(lock.lock_, timeout) == std::cv_status::no_timeout;
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

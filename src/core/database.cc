@@ -150,14 +150,6 @@ Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
   open_.mswg.batch_size = 256;
   open_.mswg.projections_per_step = 16;
   if (EnvFlag("MOSAIC_ROW_PATH")) force_row_exec_ = true;
-  // MOSAIC_MORSELS=<rows> turns on morsel-split batch execution
-  // engine-wide (CI runs every suite this way; see scripts/check.sh).
-  // Parallelism still requires a pool — set_morsel_pool, which the
-  // query service wires to its request pool. Garbage or overflowing
-  // values warn and leave morsels disabled (common/env.h).
-  if (auto size = EnvSize("MOSAIC_MORSELS"); size.has_value() && *size > 0) {
-    morsel_size_ = *size;
-  }
   // The five system tables always resolve: queries and metrics read
   // the live process-wide stores; sessions/connections/snapshots are
   // empty schema stubs until the service/network layers override them
@@ -216,7 +208,7 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                             "' (available: " + names + ")");
   }
   // Materialize the snapshot once, then run the ordinary executor
-  // over a zero-copy view of it — same three paths, same parity
+  // over a zero-copy view of it — same two paths, same parity
   // guarantees as any auxiliary table.
   Table snapshot;
   {
@@ -227,19 +219,11 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                 " rows=" + std::to_string(snapshot.num_rows()));
     }
   }
-  exec::ExecOptions opts = BatchExecOptions();
+  exec::ExecOptions opts;
   opts.use_row_path = force_row_exec_;
   opts.trace = trace;
   opts.trace_parent = trace_parent;
   return exec::ExecuteSelect(snapshot, stmt, opts);
-}
-
-exec::ExecOptions Database::BatchExecOptions() const {
-  exec::ExecOptions opts;
-  opts.morsels.morsel_size = morsel_size_;
-  opts.morsels.parallelism = morsel_parallelism_;
-  opts.morsels.pool = morsel_pool_;
-  return opts;
 }
 
 Result<Table> Database::Execute(const std::string& sql) {
@@ -347,7 +331,7 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
           "' is an auxiliary table");
     }
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.from));
-    exec::ExecOptions opts = BatchExecOptions();
+    exec::ExecOptions opts;
     opts.use_row_path = force_row_exec_;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
@@ -388,7 +372,7 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
     }
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, epoch->weights));
-    exec::ExecOptions opts = BatchExecOptions();
+    exec::ExecOptions opts;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
     return exec::ExecuteSelect(view, SelectionVector::All(view.num_rows()),
@@ -535,7 +519,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
       TableView view(sample->data);
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
-      exec::ExecOptions opts = BatchExecOptions();
+      exec::ExecOptions opts;
       opts.trace = trace;
       opts.trace_parent = trace_parent;
       return exec::ExecuteSelect(view, std::move(sel), stmt, opts);
@@ -576,7 +560,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
                               MakeWeightedView(sample->data, epoch->weights));
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
-      exec::ExecOptions opts = BatchExecOptions();
+      exec::ExecOptions opts;
       opts.weight_column = kWeightColumn;
       opts.trace = trace;
       opts.trace_parent = trace_parent;
@@ -630,7 +614,7 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
             MOSAIC_ASSIGN_OR_RETURN(
                 sel, exec::SelectRows(view, *model.restrict_predicate));
           }
-          exec::ExecOptions opts = BatchExecOptions();
+          exec::ExecOptions opts;
           opts.weight_column = kWeightColumn;
           opts.trace = trace;
           opts.trace_parent = gen_span.id();

@@ -1,8 +1,8 @@
 // Builders for the `system.*` introspection tables. Each builder
 // materializes a point-in-time snapshot of live engine state as a
 // plain Table; the planner (core::Database::ExecuteSelect) then runs
-// the ordinary row/batch/morsel executor over a zero-copy view of it,
-// so system tables get WHERE/GROUP BY/ORDER BY — and three-path
+// the ordinary row/batch executor over a zero-copy view of it, so
+// system tables get WHERE/GROUP BY/ORDER BY — and row/batch
 // bit-identity — for free.
 //
 // The builders for state that lives above core (service sessions, net

@@ -11,6 +11,13 @@ namespace exec {
 
 namespace {
 
+// The typed evaluators write their results into a caller-sized
+// buffer; the kernels below recurse through them.
+[[nodiscard]] Status EvalMaskInto(const BoundExpr& expr, const TableView& view,
+                    SelectionSlice rows, uint8_t* dst);
+[[nodiscard]] Status EvalDoubleInto(const BoundExpr& expr, const TableView& view,
+                      SelectionSlice rows, double* dst);
+
 /// Comparison ops map 1:1 onto kernel predicates (callers only pass
 /// the six comparison BinaryOps here).
 inline simd::CmpOp ToSimdCmp(sql::BinaryOp op) {
@@ -105,9 +112,7 @@ bool IsNumericSpan(const ColumnSpan& span) {
 
 /// String column vs string literal: resolve the literal through the
 /// dictionary once, then compare codes (Eq/Ne) or a per-code truth
-/// table (ordering ops) — no per-row decoding. All comparison kernels
-/// write into a caller-provided mask so the morsel path can aim them
-/// straight at its range of the shared output (no splice copy).
+/// table (ordering ops) — no per-row decoding.
 void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
                      sql::BinaryOp op, SelectionSlice rows,
                      uint8_t* mask) {
@@ -335,8 +340,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return Status::OK();
 }
 
-}  // namespace
-
+/// Evaluate a boolean expression into dst[0..rows.size()).
 [[nodiscard]] Status EvalMaskInto(const BoundExpr& expr, const TableView& view,
                     SelectionSlice rows, uint8_t* dst) {
   const size_t n = rows.size();
@@ -391,14 +395,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return Status::Internal("unreachable bound expression kind");
 }
 
-[[nodiscard]] Result<std::vector<uint8_t>> EvalMask(const BoundExpr& expr,
-                                      const TableView& view,
-                                      SelectionSlice rows) {
-  std::vector<uint8_t> mask(rows.size());
-  MOSAIC_RETURN_IF_ERROR(EvalMaskInto(expr, view, rows, mask.data()));
-  return mask;
-}
-
+/// Evaluate a numeric expression as doubles into dst[0..rows.size()).
 [[nodiscard]] Status EvalDoubleInto(const BoundExpr& expr, const TableView& view,
                       SelectionSlice rows, double* dst) {
   const size_t n = rows.size();
@@ -463,14 +460,9 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   return Status::Internal("expression has no numeric batch form");
 }
 
-[[nodiscard]] Result<std::vector<double>> EvalDoubleBatch(
-    const BoundExpr& expr, const TableView& view,
-    SelectionSlice rows) {
-  std::vector<double> out(rows.size());
-  MOSAIC_RETURN_IF_ERROR(EvalDoubleInto(expr, view, rows, out.data()));
-  return out;
-}
-
+/// Size `out` for `n` results of `expr` (type, payload vector, and —
+/// for string column refs — the shared dictionary), without
+/// evaluating anything.
 [[nodiscard]] Status PrepareBatchVec(const BoundExpr& expr, const TableView& view,
                        size_t n, BatchVec* out) {
   out->type = expr.type;
@@ -500,19 +492,21 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   }
 }
 
+/// Evaluate into a prepared (PrepareBatchVec) output whose type
+/// matches the expression.
 [[nodiscard]] Status EvalBatchInto(const BoundExpr& expr, const TableView& view,
-                     SelectionSlice rows, BatchVec* out, size_t offset) {
+                     SelectionSlice rows, BatchVec* out) {
   const size_t n = rows.size();
   if (out->type != expr.type) {
     return Status::Internal("batch output type mismatch");
   }
   switch (expr.type) {
     case DataType::kBool:
-      return EvalMaskInto(expr, view, rows, out->b8.data() + offset);
+      return EvalMaskInto(expr, view, rows, out->b8.data());
     case DataType::kDouble:
-      return EvalDoubleInto(expr, view, rows, out->f64.data() + offset);
+      return EvalDoubleInto(expr, view, rows, out->f64.data());
     case DataType::kInt64: {
-      int64_t* dst = out->i64.data() + offset;
+      int64_t* dst = out->i64.data();
       switch (expr.kind) {
         case BoundExpr::Kind::kLiteral: {
           const int64_t v = expr.literal.AsInt64();
@@ -526,7 +520,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
         }
         case BoundExpr::Kind::kUnary: {
           MOSAIC_RETURN_IF_ERROR(
-              EvalBatchInto(*expr.child, view, rows, out, offset));
+              EvalBatchInto(*expr.child, view, rows, out));
           for (size_t i = 0; i < n; ++i) dst[i] = -dst[i];
           return Status::OK();
         }
@@ -551,13 +545,13 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
           if (out->dict != span.dict) {
             return Status::Internal("batch output dictionary mismatch");
           }
-          int32_t* dst = out->codes.data() + offset;
+          int32_t* dst = out->codes.data();
           simd::ActiveKernels().gather_i32(span.codes, rows.data(), n, dst);
           return Status::OK();
         }
         case BoundExpr::Kind::kLiteral: {
           const std::string& v = expr.literal.AsString();
-          for (size_t i = 0; i < n; ++i) out->strs[offset + i] = v;
+          for (size_t i = 0; i < n; ++i) out->strs[i] = v;
           return Status::OK();
         }
         default:
@@ -569,11 +563,29 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
   }
 }
 
+}  // namespace
+
+[[nodiscard]] Result<std::vector<uint8_t>> EvalMask(const BoundExpr& expr,
+                                      const TableView& view,
+                                      SelectionSlice rows) {
+  std::vector<uint8_t> mask(rows.size());
+  MOSAIC_RETURN_IF_ERROR(EvalMaskInto(expr, view, rows, mask.data()));
+  return mask;
+}
+
+[[nodiscard]] Result<std::vector<double>> EvalDoubleBatch(
+    const BoundExpr& expr, const TableView& view,
+    SelectionSlice rows) {
+  std::vector<double> out(rows.size());
+  MOSAIC_RETURN_IF_ERROR(EvalDoubleInto(expr, view, rows, out.data()));
+  return out;
+}
+
 [[nodiscard]] Result<BatchVec> EvalBatch(const BoundExpr& expr, const TableView& view,
                            SelectionSlice rows) {
   BatchVec out;
   MOSAIC_RETURN_IF_ERROR(PrepareBatchVec(expr, view, rows.size(), &out));
-  MOSAIC_RETURN_IF_ERROR(EvalBatchInto(expr, view, rows, &out, 0));
+  MOSAIC_RETURN_IF_ERROR(EvalBatchInto(expr, view, rows, &out));
   return out;
 }
 
@@ -630,29 +642,6 @@ std::vector<const BoundExpr*> FlattenConjuncts(const BoundExpr& predicate) {
   std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(predicate);
   AlignedVector<uint32_t> rows = std::move(*base.mutable_rows());
   MOSAIC_RETURN_IF_ERROR(RefineRows(view, conjuncts, 0, &rows));
-  return SelectionVector(std::move(rows));
-}
-
-[[nodiscard]] Result<SelectionVector> FilterSlice(const TableView& view,
-                                    const BoundExpr& predicate,
-                                    SelectionSlice base) {
-  std::vector<const BoundExpr*> conjuncts = FlattenConjuncts(predicate);
-  // First conjunct runs over the zero-copy slice; survivors become
-  // the owning list the remaining conjuncts refine in place.
-  AlignedVector<uint32_t> rows;
-  if (conjuncts.empty() || base.empty()) {
-    rows.assign(base.begin(), base.end());
-    return SelectionVector(std::move(rows));
-  }
-  MOSAIC_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                          EvalMask(*conjuncts[0], view, base));
-  // Sized for the worst case (every row survives): compact_rows
-  // stores unconditionally, so the output needs full capacity.
-  rows.resize(base.size());
-  const size_t kept = simd::ActiveKernels().compact_rows(
-      base.data(), mask.data(), 1, base.size(), rows.data());
-  rows.resize(kept);
-  MOSAIC_RETURN_IF_ERROR(RefineRows(view, conjuncts, 1, &rows));
   return SelectionVector(std::move(rows));
 }
 

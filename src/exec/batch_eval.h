@@ -71,14 +71,6 @@ struct BatchVec {
                                       const TableView& view,
                                       SelectionSlice rows);
 
-/// Offset-writing form: the final kernel writes truth values straight
-/// into dst[0..rows.size()), which the morsel executor points at its
-/// disjoint range of a shared preallocated output — no per-morsel
-/// result vector, no splice copy afterwards. `dst` must hold
-/// rows.size() bytes.
-[[nodiscard]] Status EvalMaskInto(const BoundExpr& expr, const TableView& view,
-                    SelectionSlice rows, uint8_t* dst);
-
 /// Evaluate a numeric expression over `rows` as doubles (the
 /// aggregation input form). Errors exactly like Value::ToDouble for
 /// non-numeric expressions (on the first row).
@@ -86,29 +78,9 @@ struct BatchVec {
                                             const TableView& view,
                                             SelectionSlice rows);
 
-/// Offset-writing form of EvalDoubleBatch; `dst` must hold
-/// rows.size() doubles.
-[[nodiscard]] Status EvalDoubleInto(const BoundExpr& expr, const TableView& view,
-                      SelectionSlice rows, double* dst);
-
 /// Evaluate an expression over `rows` into its statically typed batch.
 [[nodiscard]] Result<BatchVec> EvalBatch(const BoundExpr& expr, const TableView& view,
                            SelectionSlice rows);
-
-/// Size `out` for `n` results of `expr` (type, payload vector, and —
-/// for string column refs — the shared dictionary), without
-/// evaluating anything. The morsel executor prepares one output this
-/// way, then each morsel fills its range via EvalBatchInto. Errors on
-/// untyped expressions, like EvalBatch.
-[[nodiscard]] Status PrepareBatchVec(const BoundExpr& expr, const TableView& view,
-                       size_t n, BatchVec* out);
-
-/// Evaluate into `out` at [offset, offset + rows.size()): the
-/// offset-writing form of EvalBatch over a prepared output. The
-/// payload must already be sized (PrepareBatchVec) and `out->type`
-/// must match the expression.
-[[nodiscard]] Status EvalBatchInto(const BoundExpr& expr, const TableView& view,
-                     SelectionSlice rows, BatchVec* out, size_t offset);
 
 /// Rows of `view` where the bound boolean predicate holds. Conjuncts
 /// refine the selection left to right, so the right side of an AND is
@@ -121,14 +93,6 @@ struct BatchVec {
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate,
                                    SelectionVector base);
-
-/// Refine a zero-copy slice of a selection — the morsel unit. Row ids
-/// that survive the predicate are returned as a fresh (owning)
-/// SelectionVector; concatenating the results of consecutive slices
-/// in slice order reproduces the whole-selection filter exactly.
-[[nodiscard]] Result<SelectionVector> FilterSlice(const TableView& view,
-                                    const BoundExpr& predicate,
-                                    SelectionSlice base);
 
 /// Bind `predicate` against the view's schema and filter. The batch
 /// counterpart of FilterRows (expr_eval.h).

@@ -948,235 +948,6 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Morsel-parallel building blocks (exec/morsel.h)
-//
-// Each helper degrades to its single-threaded counterpart when the
-// driver is disabled or the input fits one morsel, and otherwise
-// produces the identical result by running per-morsel and merging in
-// morsel order: the concatenation of per-morsel outputs is exactly
-// the sequence the whole-selection kernel produces, because every
-// per-row value depends only on its own row.
-// ---------------------------------------------------------------------------
-
-/// WHERE refinement per morsel over zero-copy slices of the base
-/// selection; survivors concatenate in morsel order.
-[[nodiscard]] Result<SelectionVector> MorselFilter(const TableView& view,
-                                     const BoundExpr& pred,
-                                     SelectionVector base,
-                                     const MorselDriver& driver,
-                                     trace::QueryTrace* trace = nullptr,
-                                     uint32_t trace_parent = 0) {
-  const size_t n = base.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return FilterView(view, pred, std::move(base));
-  std::vector<SelectionVector> parts(num_morsels);
-  trace::CountMorsels(trace, num_morsels);  // bulk: keep RMWs out of the lambda
-  MOSAIC_RETURN_IF_ERROR(driver.Run(num_morsels, [&](size_t m) -> Status {
-    // One span per claimed morsel: its wall time covers claim-to-done
-    // on whichever pool thread ran it, so a trace shows how the
-    // claim loop spread work across workers.
-    trace::ScopedSpan span(trace, trace_parent,
-                           ("morsel " + std::to_string(m)).c_str());
-    auto [begin, end] = driver.Range(n, m);
-    MOSAIC_ASSIGN_OR_RETURN(
-        parts[m], FilterSlice(view, pred, base.Slice(begin, end - begin)));
-    if (trace != nullptr) {
-      span.Note("rows=" + std::to_string(end - begin) +
-                " kept=" + std::to_string(parts[m].size()));
-    }
-    return Status::OK();
-  }));
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  AlignedVector<uint32_t> rows;
-  rows.reserve(total);
-  for (const auto& part : parts) {
-    rows.insert(rows.end(), part.rows().begin(), part.rows().end());
-  }
-  return SelectionVector(std::move(rows));
-}
-
-/// Expression evaluation per morsel into a single preallocated
-/// output: the offset-writing kernels (EvalBatchInto) aim each
-/// morsel's final evaluation loop directly at its disjoint range, so
-/// there is no per-morsel result vector and no splice copy afterwards
-/// — the write that computes a value is the write that lands it.
-[[nodiscard]] Result<BatchVec> MorselEvalBatch(const BoundExpr& expr, const TableView& view,
-                                 const SelectionVector& sel,
-                                 const MorselDriver& driver) {
-  const size_t n = sel.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return EvalBatch(expr, view, sel.rows());
-  BatchVec out;
-  MOSAIC_RETURN_IF_ERROR(PrepareBatchVec(expr, view, n, &out));
-  MOSAIC_RETURN_IF_ERROR(driver.Run(num_morsels, [&](size_t m) -> Status {
-    auto [begin, end] = driver.Range(n, m);
-    return EvalBatchInto(expr, view, sel.Slice(begin, end - begin), &out,
-                         begin);
-  }));
-  return out;
-}
-
-/// Per-tuple weight gather, each morsel writing its disjoint range of
-/// the preallocated output.
-[[nodiscard]] Result<std::vector<double>> MorselGatherWeights(const ColumnSpan& wspan,
-                                                const SelectionVector& sel,
-                                                const MorselDriver& driver) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  std::vector<double> w(n);
-  MOSAIC_RETURN_IF_ERROR(
-      driver.Run(driver.NumMorsels(n), [&](size_t m) -> Status {
-        auto [begin, end] = driver.Range(n, m);
-        if (wspan.type == DataType::kDouble) {
-          // The managed weight column is always a double span.
-          simd::ActiveKernels().gather_f64(wspan.f64, rows.data() + begin,
-                                           end - begin, w.data() + begin);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            MOSAIC_ASSIGN_OR_RETURN(w[i], wspan.GetDouble(rows[i]));
-          }
-        }
-        return Status::OK();
-      }));
-  return w;
-}
-
-/// MakeSortKey with the gather split across morsels (dictionary ranks
-/// are computed once, serially).
-SortKeyCol MakeSortKeyMorsel(const ColumnSpan& span,
-                             const SelectionVector& sel, bool desc,
-                             const MorselDriver& driver) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return MakeSortKey(span, rows, desc);
-  SortKeyCol key;
-  key.desc = desc;
-  if (span.type == DataType::kString) {
-    key.is_string = true;
-    std::vector<int32_t> ranks = DictionaryRanks(*span.dict);
-    key.rank.resize(n);
-    (void)driver.Run(num_morsels, [&](size_t m) {
-      auto [begin, end] = driver.Range(n, m);
-      for (size_t i = begin; i < end; ++i) {
-        key.rank[i] = ranks[span.codes[rows[i]]];
-      }
-      return Status::OK();
-    });
-  } else {
-    key.num.resize(n);
-    (void)driver.Run(num_morsels, [&](size_t m) {
-      auto [begin, end] = driver.Range(n, m);
-      GatherNumKey(span, rows.data() + begin, end - begin,
-                   key.num.data() + begin);
-      return Status::OK();
-    });
-  }
-  return key;
-}
-
-/// MakeGroupKey with per-morsel work: string/bool codes are pure
-/// gathers; int64/double columns build per-morsel local dictionaries
-/// that a serial merge (in morsel order) folds into the global
-/// first-seen code assignment — identical to the sequential one,
-/// because a value first occurring in morsel m cannot occur in any
-/// earlier morsel — followed by a parallel remap of local to global
-/// codes.
-GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
-                               const SelectionVector& sel,
-                               const MorselDriver& driver) {
-  const AlignedVector<uint32_t>& rows = sel.rows();
-  const size_t n = rows.size();
-  const size_t num_morsels = driver.NumMorsels(n);
-  if (num_morsels <= 1) return MakeGroupKey(span, rows);
-  GroupKeyCol key;
-  key.type = span.type;
-  key.codes.resize(n);
-  switch (span.type) {
-    case DataType::kString: {
-      key.dict = span.dict.get();
-      key.card = std::max<uint64_t>(1, span.dict->size());
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = static_cast<uint32_t>(span.codes[rows[i]]);
-        }
-        return Status::OK();
-      });
-      return key;
-    }
-    case DataType::kBool: {
-      key.card = 2;
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = span.b8[rows[i]] != 0 ? 1 : 0;
-        }
-        return Status::OK();
-      });
-      return key;
-    }
-    case DataType::kInt64:
-    case DataType::kDouble: {
-      const bool is_int = span.type == DataType::kInt64;
-      // Key identity goes through double (see MakeGroupKey); local
-      // dictionaries record first-seen order within their morsel.
-      std::vector<std::vector<double>> local_vals(num_morsels);
-      std::vector<std::vector<int64_t>> local_i64(num_morsels);
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        std::unordered_map<double, uint32_t> ids;
-        ids.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          const double v = is_int ? static_cast<double>(span.i64[rows[i]])
-                                  : span.f64[rows[i]];
-          auto [it, inserted] = ids.try_emplace(
-              v, static_cast<uint32_t>(local_vals[m].size()));
-          if (inserted) {
-            local_vals[m].push_back(v);
-            if (is_int) local_i64[m].push_back(span.i64[rows[i]]);
-          }
-          key.codes[i] = it->second;
-        }
-        return Status::OK();
-      });
-      std::unordered_map<double, uint32_t> global;
-      std::vector<std::vector<uint32_t>> remap(num_morsels);
-      for (size_t m = 0; m < num_morsels; ++m) {
-        remap[m].resize(local_vals[m].size());
-        for (size_t j = 0; j < local_vals[m].size(); ++j) {
-          const uint32_t next_code = static_cast<uint32_t>(
-              is_int ? key.i64_vals.size() : key.f64_vals.size());
-          auto [it, inserted] = global.try_emplace(local_vals[m][j],
-                                                   next_code);
-          if (inserted) {
-            if (is_int) {
-              key.i64_vals.push_back(local_i64[m][j]);
-            } else {
-              key.f64_vals.push_back(local_vals[m][j]);
-            }
-          }
-          remap[m][j] = it->second;
-        }
-      }
-      (void)driver.Run(num_morsels, [&](size_t m) {
-        auto [begin, end] = driver.Range(n, m);
-        for (size_t i = begin; i < end; ++i) {
-          key.codes[i] = remap[m][key.codes[i]];
-        }
-        return Status::OK();
-      });
-      key.card = std::max<uint64_t>(
-          1, is_int ? key.i64_vals.size() : key.f64_vals.size());
-      return key;
-    }
-    default:
-      return key;
-  }
-}
-
 /// Vectorized SELECT over a view restricted to `sel`. Returns nullopt
 /// when the plan must fall back to the row path (group-key code space
 /// overflowing 64-bit packing).
@@ -1185,7 +956,6 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
                                                 const sql::SelectStmt& stmt,
                                                 const ExecOptions& opts) {
   const Schema& schema = view.schema();
-  const MorselDriver morsels(opts.morsels);
   const bool weighted = !opts.weight_column.empty();
   std::optional<size_t> weight_idx;
   if (weighted) {
@@ -1211,9 +981,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       return Status::TypeError("WHERE predicate must be boolean, got " +
                                std::string(DataTypeName(pred->type)));
     }
-    MOSAIC_ASSIGN_OR_RETURN(
-        sel, MorselFilter(view, *pred, std::move(sel), morsels, opts.trace,
-                          span.id()));
+    MOSAIC_ASSIGN_OR_RETURN(sel, FilterView(view, *pred, std::move(sel)));
     if (opts.trace != nullptr) {
       span.Note("rows=" + std::to_string(rows_in) + " kept=" +
                 std::to_string(sel.size()) + " isa=" +
@@ -1304,9 +1072,8 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
         trace::ScopedSpan span(opts.trace, opts.trace_parent, "sort");
         std::vector<SortKeyCol> keys;
         for (size_t ki = 0; ki < stmt.order_by.size(); ++ki) {
-          keys.push_back(MakeSortKeyMorsel(view.column(order_src[ki]), sel,
-                                           stmt.order_by[ki].descending,
-                                           morsels));
+          keys.push_back(MakeSortKey(view.column(order_src[ki]), sel.rows(),
+                                     stmt.order_by[ki].descending));
         }
         bool topn = false;
         std::vector<uint32_t> perm =
@@ -1331,7 +1098,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       trace::ScopedSpan span(opts.trace, opts.trace_parent, "materialize");
       for (const auto& item : bound_items) {
         MOSAIC_ASSIGN_OR_RETURN(BatchVec batch,
-                                MorselEvalBatch(*item, view, sel, morsels));
+                                EvalBatch(*item, view, sel.rows()));
         MOSAIC_ASSIGN_OR_RETURN(Column col,
                                 ColumnFromBatch(std::move(batch)));
         columns.push_back(std::move(col));
@@ -1414,7 +1181,7 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
     unsigned __int128 code_space = 1;
     bool overflow = false;
     for (size_t c : group_cols) {
-      key_cols.push_back(MakeGroupKeyMorsel(view.column(c), sel, morsels));
+      key_cols.push_back(MakeGroupKey(view.column(c), sel.rows()));
       code_space *= key_cols.back().card;
       if (code_space > (static_cast<unsigned __int128>(1) << 62)) {
         overflow = true;
@@ -1425,21 +1192,14 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       return std::optional<Table>();  // fall back to the row path
     }
     const uint64_t packed_card = static_cast<uint64_t>(code_space);
-    // Mixed-radix packing through the widen / mul-add kernels; each
-    // morsel covers its disjoint range, so the concatenation equals
-    // the serial loop.
+    // Mixed-radix packing through the widen / mul-add kernels.
+    const simd::KernelTable& k = simd::ActiveKernels();
     AlignedVector<uint64_t> packed(n);
-    (void)morsels.Run(morsels.NumMorsels(n), [&](size_t m) {
-      auto [begin, end] = morsels.Range(n, m);
-      const simd::KernelTable& k = simd::ActiveKernels();
-      k.widen_u32_u64(key_cols[0].codes.data() + begin, end - begin,
-                      packed.data() + begin);
-      for (size_t c = 1; c < key_cols.size(); ++c) {
-        k.pack_mul_add(packed.data() + begin, key_cols[c].codes.data() + begin,
-                       key_cols[c].card, end - begin);
-      }
-      return Status::OK();
-    });
+    k.widen_u32_u64(key_cols[0].codes.data(), n, packed.data());
+    for (size_t c = 1; c < key_cols.size(); ++c) {
+      k.pack_mul_add(packed.data(), key_cols[c].codes.data(),
+                     key_cols[c].card, n);
+    }
     // Flat (direct-indexed) table when the packed code space is
     // small — both absolutely and relative to the selection, so a
     // tiny selection over a huge dictionary does not zero-fill
@@ -1463,7 +1223,6 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       // packed keys, then the probe pass assigns first-seen group ids
       // serially in selection order.
       idx_mode = "two_pass";
-      const simd::KernelTable& k = simd::ActiveKernels();
       AlignedVector<uint64_t> hashes(kGroupHashBlock);
       GroupIdIndex index;
       for (size_t base = 0; base < n; base += kGroupHashBlock) {
@@ -1491,57 +1250,33 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
 
   // --- Accumulate: tight loops over the selection --------------------------
   //
-  // Under morsels, the per-row work (weight gather, aggregate-argument
-  // evaluation) and the exact aggregates (COUNT, MIN, MAX — integer
-  // adds and order-exact comparisons) run as per-morsel partial
-  // flat-hash states merged in morsel order. Floating-point sums are
-  // the exception: addition is not associative, so merging per-morsel
-  // partial sums would make the rounding depend on the morsel size.
-  // They reduce serially in selection order over per-row values that
-  // were computed in parallel, which keeps every morsel configuration
-  // bit-identical to the single-threaded batch path.
+  // Floating-point sums reduce serially in selection order, the order
+  // the row path uses, so both paths round identically.
   std::vector<double> w;
   if (weighted) {
-    MOSAIC_ASSIGN_OR_RETURN(
-        w, MorselGatherWeights(view.column(*weight_idx), sel, morsels));
+    const ColumnSpan& wspan = view.column(*weight_idx);
+    const AlignedVector<uint32_t>& rows = sel.rows();
+    w.resize(n);
+    if (wspan.type == DataType::kDouble) {
+      // The managed weight column is always a double span.
+      simd::ActiveKernels().gather_f64(wspan.f64, rows.data(), n, w.data());
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        MOSAIC_ASSIGN_OR_RETURN(w[i], wspan.GetDouble(rows[i]));
+      }
+    }
   }
-  const size_t num_agg_morsels = morsels.NumMorsels(n);
-  // Partial states cost one num_groups-sized array per morsel; fall
-  // back to the (identical-result) serial scan when that would dwarf
-  // the selection itself.
-  const bool partial_agg =
-      num_agg_morsels > 1 &&
-      static_cast<uint64_t>(num_agg_morsels) * num_groups <=
-          std::max<uint64_t>(4096, 8 * n);
   // sum_w / count are identical across specs (accumulated in the same
   // row order), so compute them once.
   std::vector<double> sum_w(num_groups, 0.0);
   std::vector<int64_t> count_n(num_groups, 0);
-  if (partial_agg) {
-    std::vector<std::vector<int64_t>> part(num_agg_morsels);
-    // Morsel accounting happens in bulk out here, NOT inside the
-    // lambda: an atomic RMW next to the counting loop wrecks its
-    // codegen (measured ~5% on the group_by bench).
-    trace::CountMorsels(opts.trace, num_agg_morsels);
-    (void)morsels.Run(num_agg_morsels, [&](size_t m) {
-      auto [begin, end] = morsels.Range(n, m);
-      part[m].assign(num_groups, 0);
-      for (size_t i = begin; i < end; ++i) part[m][gid[i]] += 1;
-      return Status::OK();
-    });
-    for (size_t m = 0; m < num_agg_morsels; ++m) {
-      for (size_t g = 0; g < num_groups; ++g) count_n[g] += part[m][g];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) count_n[gid[i]] += 1;
-  }
+  for (size_t i = 0; i < n; ++i) count_n[gid[i]] += 1;
   if (weighted) {
-    // Ordered serial reduction (see block comment above).
     for (size_t i = 0; i < n; ++i) sum_w[gid[i]] += w[i];
   } else {
     // Sequentially accumulating 1.0 per row yields exactly the
-    // integer count (counts are far below 2^53), so the exact partial
-    // counts reproduce the unweighted sum bit for bit.
+    // integer count (counts are far below 2^53), so the exact counts
+    // reproduce the unweighted sum bit for bit.
     for (size_t g = 0; g < num_groups; ++g) {
       sum_w[g] = static_cast<double>(count_n[g]);
     }
@@ -1556,16 +1291,13 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
     const AggSpec& spec = aggs.specs[a];
     if (spec.is_star || spec.arg == nullptr) continue;
     MOSAIC_ASSIGN_OR_RETURN(arg_batches[a],
-                            MorselEvalBatch(*spec.arg, view, sel, morsels));
+                            EvalBatch(*spec.arg, view, sel.rows()));
     if (spec.func == sql::AggFunc::kSum || spec.func == sql::AggFunc::kAvg) {
       AlignedVector<double> x_scratch;
       MOSAIC_ASSIGN_OR_RETURN(const double* x,
                               BatchDoubles(arg_batches[a], &x_scratch));
       auto& acc = sum_wx[a];
       acc.assign(num_groups, 0.0);
-      // Ordered serial reduction (see block comment above); the
-      // per-row products w[i] * x[i] are exact inputs evaluated in
-      // parallel above.
       if (weighted) {
         for (size_t i = 0; i < n; ++i) acc[gid[i]] += w[i] * x[i];
       } else {
@@ -1579,57 +1311,14 @@ GroupKeyCol MakeGroupKeyMorsel(const ColumnSpan& span,
       auto& maxs = max_pos[a];
       mins.assign(num_groups, -1);
       maxs.assign(num_groups, -1);
-      if (partial_agg) {
-        // Per-morsel partial argmin/argmax, merged in morsel order
-        // with the same strict comparisons as the serial scan — the
-        // first-seen winner among equals is preserved, so the merge
-        // is bit-identical to the sequential result.
-        std::vector<std::vector<int64_t>> pmin(num_agg_morsels);
-        std::vector<std::vector<int64_t>> pmax(num_agg_morsels);
-        (void)morsels.Run(num_agg_morsels, [&](size_t m) {
-          auto [begin, end] = morsels.Range(n, m);
-          auto& lmin = pmin[m];
-          auto& lmax = pmax[m];
-          lmin.assign(num_groups, -1);
-          lmax.assign(num_groups, -1);
-          for (size_t i = begin; i < end; ++i) {
-            int64_t& mn = lmin[gid[i]];
-            int64_t& mx = lmax[gid[i]];
-            if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-              mn = static_cast<int64_t>(i);
-            }
-            if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-              mx = static_cast<int64_t>(i);
-            }
-          }
-          return Status::OK();
-        });
-        for (size_t m = 0; m < num_agg_morsels; ++m) {
-          for (size_t g = 0; g < num_groups; ++g) {
-            if (pmin[m][g] >= 0 &&
-                (mins[g] < 0 ||
-                 BatchLess(batch, static_cast<size_t>(pmin[m][g]),
-                           static_cast<size_t>(mins[g])))) {
-              mins[g] = pmin[m][g];
-            }
-            if (pmax[m][g] >= 0 &&
-                (maxs[g] < 0 ||
-                 BatchLess(batch, static_cast<size_t>(maxs[g]),
-                           static_cast<size_t>(pmax[m][g])))) {
-              maxs[g] = pmax[m][g];
-            }
-          }
+      for (size_t i = 0; i < n; ++i) {
+        int64_t& mn = mins[gid[i]];
+        int64_t& mx = maxs[gid[i]];
+        if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
+          mn = static_cast<int64_t>(i);
         }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          int64_t& mn = mins[gid[i]];
-          int64_t& mx = maxs[gid[i]];
-          if (mn < 0 || BatchLess(batch, i, static_cast<size_t>(mn))) {
-            mn = static_cast<int64_t>(i);
-          }
-          if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
-            mx = static_cast<int64_t>(i);
-          }
+        if (mx < 0 || BatchLess(batch, static_cast<size_t>(mx), i)) {
+          mx = static_cast<int64_t>(i);
         }
       }
     }

@@ -14,7 +14,7 @@
 //
 // The engine-managed weight column is hidden from `SELECT *`.
 //
-// Three execution paths produce bit-identical results:
+// Two execution paths produce bit-identical results:
 //
 //   batch (default) — vectorized columnar pipeline over TableView +
 //     SelectionVector: WHERE predicates refine selection vectors in
@@ -23,17 +23,11 @@
 //     codes, aggregates accumulate over selected spans in tight
 //     loops, and ORDER BY sorts precomputed typed keys (partial_sort
 //     when LIMIT is present).
-//   morsel (batch + ExecOptions::morsels) — the same pipeline with
-//     the selection split into fixed-size morsels executed on a
-//     shared thread pool and merged in deterministic morsel order
-//     (exec/morsel.h); bit-identical to the batch path at every
-//     morsel size and thread count, enforced by
-//     tests/test_sql_fuzz.cc.
 //   row (parity oracle) — the original Value-at-a-time interpreter,
 //     kept behind ExecOptions::use_row_path for differential testing
-//     (tests/test_exec_parity.cc) and as the fallback for the rare
-//     plans the batch path declines (e.g. group-key code spaces that
-//     overflow 64-bit packing).
+//     (tests/test_exec_parity.cc, tests/test_sql_fuzz.cc) and as the
+//     fallback for the rare plans the batch path declines (e.g.
+//     group-key code spaces that overflow 64-bit packing).
 //
 // Thread-safety contract: every function here is a pure function of
 // its inputs — no globals, no caches — so concurrent calls over
@@ -47,7 +41,6 @@
 
 #include "common/status.h"
 #include "common/trace.h"
-#include "exec/morsel.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 #include "storage/table_view.h"
@@ -63,17 +56,8 @@ struct ExecOptions {
   /// pipeline. Results are bit-identical; the row path exists as a
   /// parity oracle and fallback.
   bool use_row_path = false;
-  /// Morsel-parallel execution of the batch pipeline: when
-  /// morsels.morsel_size > 0 the selection vector is split into
-  /// morsels whose WHERE kernels, expression evaluation, and exact
-  /// aggregate partials run per morsel (on morsels.pool when set) and
-  /// merge in deterministic morsel order. Results are bit-identical
-  /// to the single-threaded batch path at every morsel size and
-  /// thread count; float sums reduce serially in selection order to
-  /// keep the rounding independent of the split (see exec/morsel.h).
-  MorselOptions morsels;
   /// Per-query trace to record execution spans (filter, aggregate,
-  /// sort, materialize, per-morsel work) into; null = tracing off,
+  /// sort, materialize) into; null = tracing off,
   /// and the instrumented paths cost two branches and no clock read.
   /// Tracing never changes results — enforced by the fuzzer's traced
   /// leg (scripts/check.sh).

@@ -23,10 +23,10 @@
 //    (rows[n-1]-rows[0]+1 == n) and switch to linear loads.
 //  - Mask bytes are strictly 0 or 1 — producers guarantee it and the
 //    branchless consumers (compact_rows) rely on it.
-//  - Output buffers may be unaligned (morsel offsets land anywhere);
-//    kernels use unaligned stores. Allocation *bases* of column /
-//    selection storage are 64-byte aligned (common/aligned.h) so
-//    full-width loads at span heads never straddle a cache line.
+//  - Output buffers may be unaligned; kernels use unaligned stores.
+//    Allocation *bases* of column / selection storage are 64-byte
+//    aligned (common/aligned.h) so full-width loads at span heads
+//    never straddle a cache line.
 //  - compact_rows writes up to n entries into `out` (not just the
 //    kept count): it stores unconditionally and bumps conditionally,
 //    so `out` must have capacity n. `out == rows` (in-place

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/env.h"
@@ -86,27 +87,24 @@ QueryService::QueryService(ServiceOptions options)
       result_cache_(options.result_cache_capacity) {
   db_.set_model_cache_capacity(options.model_cache_capacity);
   if (options.force_row_exec) db_.set_force_row_exec(true);
-  // Intra-query morsels share the request pool (deadlock-free by the
-  // morsel driver's claim-loop design). The engine may already have a
-  // morsel size from MOSAIC_MORSELS; explicit options override it.
-  if (options.morsel_size > 0) {
-    db_.set_morsel_options(options.morsel_size, options.morsel_parallelism);
-  } else if (options.morsel_parallelism > 0) {
-    db_.set_morsel_options(db_.morsel_size(), options.morsel_parallelism);
-  }
-  db_.set_morsel_pool(&request_pool_);
   if (options.num_generation_threads > 0) {
     generation_pool_ =
         std::make_unique<ThreadPool>(options.num_generation_threads);
     db_.set_generation_pool(generation_pool_.get());
   }
-  slow_query_us_ = options.slow_query_ms;
-  if (slow_query_us_ < 0) {
+  // The threshold is scaled from ms to us; saturating first keeps a
+  // huge value meaning "never" instead of overflowing.
+  constexpr int64_t kMaxSlowQueryMs =
+      std::numeric_limits<int64_t>::max() / 1000;
+  int64_t slow_query_ms = options.slow_query_ms;
+  if (slow_query_ms < 0) {
     if (auto env = EnvSize("MOSAIC_SLOW_QUERY_MS")) {
-      slow_query_us_ = static_cast<int64_t>(*env);
+      slow_query_ms = static_cast<int64_t>(
+          std::min<uint64_t>(*env, static_cast<uint64_t>(kMaxSlowQueryMs)));
     }
   }
-  if (slow_query_us_ >= 0) slow_query_us_ *= 1000;
+  slow_query_us_ =
+      slow_query_ms < 0 ? -1 : std::min(slow_query_ms, kMaxSlowQueryMs) * 1000;
   // The slow-query log needs a span tree to print, so it implies
   // tracing.
   trace_enabled_ =
@@ -329,7 +327,6 @@ Result<Table> QueryService::Run(const std::string& sql,
       const trace::ResourceCounters& c = trace->counters();
       record.rows_scanned = c.rows_scanned.load(std::memory_order_relaxed);
       record.rows_produced = c.rows_produced.load(std::memory_order_relaxed);
-      record.morsels = c.morsels.load(std::memory_order_relaxed);
       record.epoch_pins = c.epoch_pins.load(std::memory_order_relaxed);
       std::vector<trace::Span> spans = trace->Spans();
       record.spans.reserve(spans.size());
@@ -337,8 +334,8 @@ Result<Table> QueryService::Run(const std::string& sql,
         record.spans.push_back({s.id, s.parent, s.name, s.start_us,
                                 s.duration_us(), s.cpu_ns, s.note});
         // The root "statement" span's thread-CPU time is the
-        // statement's own CPU cost (children nest inside it; morsel
-        // work on other threads is not included).
+        // statement's own CPU cost (children nest inside it; OPEN
+        // generation work on other threads is not included).
         if (s.parent == trace::kNoParent && record.cpu_ns == 0) {
           record.cpu_ns = s.cpu_ns;
         }

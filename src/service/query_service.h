@@ -14,13 +14,8 @@
 //     for parallel OPEN-query sample generation. Keeping the two
 //     pools separate means a request task blocking on generation
 //     futures can never deadlock the pool serving it.
-//   - The request pool doubles as the intra-query morsel pool
-//     (ServiceOptions::morsel_size / MOSAIC_MORSELS): a query splits
-//     its batch pipeline into morsels that idle request workers help
-//     execute. Safe to share because the morsel driver claims work
-//     from an atomic counter and never blocks on queued pool work
-//     (exec/morsel.h) — a saturated pool just runs each query's
-//     morsels on its own thread.
+//   - Parallelism is per request plus OPEN generation: each statement
+//     runs single-threaded on one request worker.
 //
 // Caching
 //   - Model cache: the Database's bounded LRU of trained generators
@@ -72,16 +67,6 @@ struct ServiceOptions {
   /// of the vectorized batch path (bit-identical results; parity
   /// oracle / escape hatch). Result cache keys are unaffected.
   bool force_row_exec = false;
-  /// Rows per intra-query morsel for batch-path SELECTs; 0 leaves
-  /// morsel execution to the MOSAIC_MORSELS environment knob (unset:
-  /// disabled). Morsels run on the request pool, which is shared
-  /// between inter-query and intra-query work — the morsel driver
-  /// never blocks on queued pool work, so the sharing cannot deadlock
-  /// (exec/morsel.h). Results are bit-identical at every setting.
-  size_t morsel_size = 0;
-  /// Max concurrent morsels per query, counting the thread executing
-  /// the query; 0 = that thread plus every request worker.
-  size_t morsel_parallelism = 0;
   /// Trace every statement (parse, cache, execute, per-phase executor
   /// spans). Results are bit-identical traced or not; the cost is the
   /// span bookkeeping. Also enabled by MOSAIC_TRACE=1. EXPLAIN
@@ -89,9 +74,10 @@ struct ServiceOptions {
   bool trace_queries = false;
   /// Statements taking at least this many milliseconds log their span
   /// tree at WARNING. Negative = disabled; also settable via
-  /// MOSAIC_SLOW_QUERY_MS (the option wins when >= 0). Enabling the
-  /// slow-query log implies trace_queries — without spans there would
-  /// be nothing to print.
+  /// MOSAIC_SLOW_QUERY_MS (the option wins when >= 0). Values above
+  /// INT64_MAX / 1000 saturate there (effectively "never"). Enabling
+  /// the slow-query log implies trace_queries — without spans there
+  /// would be nothing to print.
   int64_t slow_query_ms = -1;
   /// Directory for durable state (snapshots + WAL,
   /// storage/durable/engine.h). Empty = in-memory only. When set, the

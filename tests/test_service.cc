@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -381,19 +382,17 @@ TEST_F(ServiceTest, ConcurrentMixedWorkloadMatchesGroundTruth) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel service execution
+// Mixed concurrent service execution
 // ---------------------------------------------------------------------------
 
-// Morsels share the request pool with whole queries; a mixed
-// reader/writer workload under that sharing must neither deadlock
-// (the nested-submit hazard) nor produce results that differ from a
-// single-threaded engine. Morsel size 2 over the 8-row tiny world
-// forces several morsels per query.
-TEST(ServiceMorsels, MixedReadersAndWritersWithMorselsEnabled) {
+// CLOSED, plain and OPEN readers (the OPEN ones fanning generation
+// onto the generation pool) race a writer on the shared request pool;
+// no statement may fail, and every read must match a single-threaded
+// engine.
+TEST(ServiceConcurrency, MixedReadersAndWritersMatchSingleThreadedEngine) {
   ServiceOptions opts;
   opts.num_request_threads = 4;
   opts.num_generation_threads = 2;
-  opts.morsel_size = 2;
   QueryService service(opts);
   SetUpTinyWorld(service.database());
 
@@ -435,7 +434,7 @@ TEST(ServiceMorsels, MixedReadersAndWritersWithMorselsEnabled) {
     });
   }
   // A writer mutating an auxiliary table (exclusive lock) interleaves
-  // with morsel-fanned readers on the same pool.
+  // with the readers on the same pool.
   std::thread writer([&service, &failures] {
     Session session = service.OpenSession();
     for (int i = 0; i < 8; ++i) {
@@ -454,31 +453,6 @@ TEST(ServiceMorsels, MixedReadersAndWritersWithMorselsEnabled) {
   writer.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// SubmitBatch saturates the request pool with queries that each fan
-// morsels back into the same pool — the claim-loop design must keep
-// every submission completing (no worker is ever blocked waiting on
-// queued morsel work).
-TEST(ServiceMorsels, SaturatedPoolStillCompletesMorselQueries) {
-  ServiceOptions opts;
-  opts.num_request_threads = 2;
-  opts.num_generation_threads = 0;
-  opts.morsel_size = 1;  // maximal fan-out per query
-  QueryService service(opts);
-  SetUpTinyWorld(service.database());
-
-  std::vector<std::string> sqls;
-  for (int i = 0; i < 24; ++i) {
-    sqls.push_back("SELECT color, COUNT(*) AS c FROM Things GROUP BY color");
-  }
-  auto futures = service.SubmitBatch(sqls);
-  for (auto& f : futures) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r->num_rows(), 1u);
-    EXPECT_EQ(r->GetValue(0, 1).AsInt64(), 8);
-  }
 }
 
 TEST_F(ServiceTest, StatsExposeModelCache) {
@@ -624,6 +598,24 @@ TEST_F(ServiceTest, SlowQueryLogThresholdDoesNotDisturbResults) {
   auto r = noisy.Execute("SELECT CLOSED COUNT(*) AS c FROM Things");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 8);
+}
+
+// A huge threshold means "never": scaling it from ms to us must
+// saturate instead of overflowing (undefined behaviour, and in
+// practice a wrapped threshold).
+TEST_F(ServiceTest, HugeSlowQueryThresholdNeverLogs) {
+  ServiceOptions opts;
+  opts.num_request_threads = 2;
+  opts.num_generation_threads = 0;
+  opts.slow_query_ms = std::numeric_limits<int64_t>::max();
+  QueryService quiet(opts);
+  SetUpTinyWorld(quiet.database());
+  ::testing::internal::CaptureStderr();
+  auto r = quiet.Execute("SELECT CLOSED COUNT(*) AS c FROM Things");
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->GetValue(0, 0).AsInt64(), 8);
+  EXPECT_EQ(logged.find("slow query"), std::string::npos) << logged;
 }
 
 TEST_F(ServiceTest, ShowMetricsListsRegistryMetrics) {

@@ -1,16 +1,14 @@
 // Cross-path SQL parity fuzzer: randomized queries must be
-// bit-identical across the three execution paths — row (legacy
-// interpreter oracle), batch (vectorized single-threaded), and morsel
-// (batch split into fixed-size morsels on a shared thread pool) — at
-// several morsel sizes including degenerate ones (1, a prime that
-// leaves tail morsels, larger than the table). Two layers:
+// bit-identical across the two execution paths — row (legacy
+// interpreter oracle) and batch (vectorized) — and with tracing on
+// or off. Two layers:
 //
 //   - executor-level: random schemas/tables/SELECTs straight through
 //     exec::ExecuteSelect, weighted and unweighted;
 //   - engine-level: a fixed Mosaic world queried at every visibility
 //     level (CLOSED / SEMI-OPEN / OPEN, plus direct sample and
-//     auxiliary-table access) through three Database instances that
-//     differ only in their execution path.
+//     auxiliary-table access) through Database instances that differ
+//     only in their execution path or tracing.
 //
 // Queries that fail must fail identically (same status string) on
 // every path.
@@ -21,7 +19,6 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/database.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
@@ -30,11 +27,6 @@
 namespace mosaic {
 namespace exec {
 namespace {
-
-/// Morsel sizes every query is checked at: single-row morsels, a
-/// prime that produces a ragged tail, a typical cache-sized morsel,
-/// and one larger than any test table (single-morsel execution).
-constexpr size_t kMorselSizes[] = {1, 7, 1024, size_t{1} << 20};
 
 constexpr const char* kStrings[] = {"aa", "bb", "cc", "dd", "ee", "zz"};
 
@@ -99,8 +91,7 @@ RandomRelation MakeRelation(Rng* rng) {
     EXPECT_TRUE(schema.AddColumn({"w", DataType::kDouble}).ok());
   }
   rel.table = Table(schema);
-  // 0..150 rows: covers empty tables, tables below/above each tested
-  // morsel size, and ragged final morsels.
+  // 0..150 rows, empty tables included.
   size_t rows = rng->UniformInt(uint64_t{151});
   for (size_t r = 0; r < rows; ++r) {
     std::vector<Value> row;
@@ -328,7 +319,7 @@ void ExpectTablesIdentical(const Table& want, const Table& got,
 /// Runs one statement on every path and checks bit-identity (or
 /// identical failure). Returns true if the query executed OK.
 bool CheckExecutorParity(const Table& table, const std::string& sql,
-                         bool weighted, ThreadPool* pool) {
+                         bool weighted) {
   auto parsed = sql::ParseStatement(sql);
   EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
   if (!parsed.ok()) return false;
@@ -373,30 +364,10 @@ bool CheckExecutorParity(const Table& table, const std::string& sql,
     }
   }
 
-  for (size_t morsel_size : kMorselSizes) {
-    ExecOptions morsel_opts = batch_opts;
-    morsel_opts.morsels.morsel_size = morsel_size;
-    morsel_opts.morsels.parallelism = 0;  // caller + every pool worker
-    morsel_opts.morsels.pool = pool;
-    auto morsel_res = ExecuteSelect(table, stmt, morsel_opts);
-    EXPECT_EQ(row_res.ok(), morsel_res.ok())
-        << sql << " [morsel=" << morsel_size << "]\n row: "
-        << row_res.status().ToString()
-        << "\n morsel: " << morsel_res.status().ToString();
-    if (row_res.ok() && morsel_res.ok()) {
-      ExpectTablesIdentical(
-          *row_res, *morsel_res,
-          "morsel=" + std::to_string(morsel_size) + ": " + sql);
-    } else if (!row_res.ok() && !morsel_res.ok()) {
-      EXPECT_EQ(row_res.status().ToString(), morsel_res.status().ToString())
-          << sql << " [morsel=" << morsel_size << "]";
-    }
-  }
   return row_res.ok();
 }
 
 TEST(SqlFuzz, ExecutorPathsBitIdentical) {
-  ThreadPool pool(3);
   size_t oks = 0;
   size_t total = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
@@ -405,14 +376,14 @@ TEST(SqlFuzz, ExecutorPathsBitIdentical) {
     for (int q = 0; q < 40; ++q) {
       std::string sql = RandomQuery(&rng, rel);
       ++total;
-      if (CheckExecutorParity(rel.table, sql, rel.has_weight, &pool)) {
+      if (CheckExecutorParity(rel.table, sql, rel.has_weight)) {
         ++oks;
       }
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
   // The acceptance bar: at least 200 random queries executed OK and
-  // bit-identical on every path at every morsel size.
+  // bit-identical on every path.
   EXPECT_GE(oks, 200u) << "only " << oks << "/" << total
                        << " generated queries executed";
 }
@@ -606,18 +577,14 @@ std::string RandomWorldQuery(Rng* rng, int* open_queries) {
 }
 
 TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
-  ThreadPool pool(3);
   core::Database row_db;
   core::Database batch_db;
-  core::Database morsel_db;
   core::Database traced_db;
   SetUpFuzzWorld(&row_db);
   SetUpFuzzWorld(&batch_db);
-  SetUpFuzzWorld(&morsel_db);
   SetUpFuzzWorld(&traced_db);
   if (::testing::Test::HasFatalFailure()) return;
   row_db.set_force_row_exec(true);
-  morsel_db.set_morsel_pool(&pool);
 
   Rng rng(77);
   int open_queries = 0;
@@ -625,15 +592,9 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   constexpr int kQueries = 90;
   for (int q = 0; q < kQueries; ++q) {
     const std::string sql = RandomWorldQuery(&rng, &open_queries);
-    // Cycle the morsel size so the engine-level sweep covers every
-    // degenerate split as well.
-    const size_t morsel_size =
-        kMorselSizes[q % (sizeof(kMorselSizes) / sizeof(kMorselSizes[0]))];
-    morsel_db.set_morsel_options(morsel_size, 0);
 
     auto row_res = row_db.Execute(sql);
     auto batch_res = batch_db.Execute(sql);
-    auto morsel_res = morsel_db.Execute(sql);
     // Trace-enabled leg: the engine with a live QueryTrace collecting
     // spans (weight pins, training, executor phases) must stay
     // bit-identical to the untraced batch engine.
@@ -654,22 +615,13 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
     ASSERT_EQ(row_res.ok(), batch_res.ok())
         << sql << "\n row: " << row_res.status().ToString()
         << "\n batch: " << batch_res.status().ToString();
-    ASSERT_EQ(row_res.ok(), morsel_res.ok())
-        << sql << " [morsel=" << morsel_size << "]\n row: "
-        << row_res.status().ToString()
-        << "\n morsel: " << morsel_res.status().ToString();
     if (!row_res.ok()) {
       EXPECT_EQ(row_res.status().ToString(), batch_res.status().ToString())
-          << sql;
-      EXPECT_EQ(row_res.status().ToString(), morsel_res.status().ToString())
           << sql;
       continue;
     }
     ++oks;
     ExpectTablesIdentical(*row_res, *batch_res, "batch: " + sql);
-    ExpectTablesIdentical(
-        *row_res, *morsel_res,
-        "morsel=" + std::to_string(morsel_size) + ": " + sql);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(open_queries, 0);

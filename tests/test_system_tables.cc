@@ -1,5 +1,5 @@
 // Queryable system tables (`system.*`): resolution in the planner,
-// three-path execution parity over a frozen query-log ring, service
+// row/batch execution parity over a frozen query-log ring, service
 // integration (every statement leaves a record), and the bounded
 // ring's wraparound semantics.
 #include "core/system_tables.h"
@@ -38,7 +38,6 @@ void SeedQueryLog() {
   traced.cpu_ns = 1500000;
   traced.rows_scanned = 100;
   traced.rows_produced = 1;
-  traced.morsels = 4;
   traced.epoch_pins = 1;
   traced.simd_isa = "scalar";
   traced.spans.push_back({1, 0, "statement", 0, 1800, 1500000, ""});
@@ -157,10 +156,10 @@ TEST(SystemTables, StubTablesResolveEmptyWithoutAService) {
 }
 
 // ---------------------------------------------------------------------------
-// Three-path execution parity over a frozen ring
+// Row/batch execution parity over a frozen ring
 // ---------------------------------------------------------------------------
 
-TEST(SystemTables, ThreeExecPathsAgreeBitForBit) {
+TEST(SystemTables, RowAndBatchPathsAgreeBitForBit) {
   SeedQueryLog();
   const std::vector<std::string> queries = {
       "SELECT * FROM system.queries",
@@ -182,12 +181,6 @@ TEST(SystemTables, ThreeExecPathsAgreeBitForBit) {
     auto row = row_db.Execute(sql);
     ASSERT_TRUE(row.ok()) << sql << " -> " << row.status().ToString();
     EXPECT_TRUE(TablesEqual(*batch, *row)) << "row path: " << sql;
-
-    Database morsel_db;
-    morsel_db.set_morsel_options(2, 2);
-    auto morsel = morsel_db.Execute(sql);
-    ASSERT_TRUE(morsel.ok()) << sql << " -> " << morsel.status().ToString();
-    EXPECT_TRUE(TablesEqual(*batch, *morsel)) << "morsel path: " << sql;
   }
 }
 
