@@ -243,26 +243,30 @@ MOSAIC_TRACE=1 ctest --test-dir build-release --output-on-failure \
 # forces the scalar table; the SQL fuzzer (batch vs row oracle) and
 # the exec parity suite then prove scalar-batch == row, which together
 # with the default run (SIMD-batch == row) pins SIMD == scalar on
-# whole query plans.
+# whole query plans. MOSAIC_SIMD=0 also forces the scalar nn GEMM, so
+# the nn parity tests, the M-SWG golden training fingerprint and the
+# generator suite pin scalar == AVX2 for model training and generation.
 echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
-  -R 'test_(sql_fuzz|exec_parity|simd_kernels)'
+  -R 'test_(sql_fuzz|exec_parity|simd_kernels|nn|mswg|generator)'
 
-# UBSan leg over the executor tests, the durable storage suites, and
-# the service suite: the SIMD layer leans on casts, bit tricks, and
-# alignment assumptions, the storage engine adds mmap'd column reads
-# and byte-level (de)serialization on top, and the service scales
-# operator-supplied thresholds; undefined-behavior findings there
-# must fail CI even when the answers happen to come out right.
-echo "=== UBSan: executor + kernel + storage + service tests ==="
+# UBSan leg over the executor tests, the durable storage suites, the
+# service suite, and the nn/M-SWG suites: the SIMD layer leans on
+# casts, bit tricks, and alignment assumptions, the storage engine adds
+# mmap'd column reads and byte-level (de)serialization on top, the
+# service scales operator-supplied thresholds, and the GEMM's edge
+# tiles do raw pointer arithmetic over packed panels; undefined-behavior
+# findings there must fail CI even when the answers happen to come out
+# right.
+echo "=== UBSan: executor + kernel + storage + service + nn tests ==="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=undefined
 cmake --build build-ubsan -j "${JOBS}" --target \
   test_simd_kernels test_exec_parity test_executor test_sql_fuzz \
-  test_durable test_durable_recovery test_service
+  test_durable test_durable_recovery test_service test_nn test_mswg
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
-  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|service)'
+  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|service|nn|mswg)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a

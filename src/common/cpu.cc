@@ -1,5 +1,9 @@
 #include "common/cpu.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 #include <thread>
 
 namespace mosaic {
@@ -45,6 +49,35 @@ bool CpuSupports(SimdIsa isa) {
 #endif
   }
   return false;
+}
+
+namespace {
+
+std::optional<SimdIsa> ParseSimdOverride() {
+  const char* env = std::getenv("MOSAIC_SIMD");
+  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "1") == 0 ||
+      std::strcmp(env, "auto") == 0) {
+    return std::nullopt;
+  }
+  if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
+      std::strcmp(env, "scalar") == 0) {
+    return SimdIsa::kScalar;
+  }
+  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    if (std::strcmp(env, SimdIsaName(isa)) == 0) return isa;
+  }
+  std::fprintf(stderr,
+               "mosaic: unknown MOSAIC_SIMD value '%s' "
+               "(want 0|scalar|sse2|avx2|neon|auto); using auto\n",
+               env);
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<SimdIsa> SimdOverride() {
+  static const std::optional<SimdIsa> isa = ParseSimdOverride();
+  return isa;
 }
 
 SimdIsa DetectBestSimdIsa() {

@@ -57,6 +57,20 @@ size_t ReadCategory(const nn::Matrix& m, size_t row, size_t start,
   return std::min(k, num_categories - 1);
 }
 
+/// Index of a marginal's category value in the encoder's sorted
+/// category list.
+[[nodiscard]] Result<size_t> CategoryIndex(const AttributeEncoding& attr,
+                                           const Value& v) {
+  auto it = std::lower_bound(attr.categories.begin(), attr.categories.end(),
+                             v);
+  if (it == attr.categories.end() || !(*it == v)) {
+    return Status::Internal("marginal category " + v.ToString() +
+                            " missing from encoder (Fit should have "
+                            "added it)");
+  }
+  return static_cast<size_t>(it - attr.categories.begin());
+}
+
 }  // namespace
 
 Result<MixedEncoder> MixedEncoder::Fit(
@@ -252,6 +266,15 @@ Result<nn::Matrix> MixedEncoder::SampleMarginalTargets(
   }
   nn::Matrix out(n, width);
   auto cells = marginal.SampleCells(n, rng);
+  // Encoded category index per marginal bin, resolved the first time
+  // the bin is drawn in this call rather than on every drawn row.
+  constexpr size_t kUnresolved = static_cast<size_t>(-1);
+  std::vector<std::vector<size_t>> category_of_bin(marginal.arity());
+  for (size_t a = 0; a < marginal.arity(); ++a) {
+    if (enc_attrs[a]->categorical) {
+      category_of_bin[a].assign(marginal.binning(a).num_bins(), kUnresolved);
+    }
+  }
   for (size_t i = 0; i < n; ++i) {
     auto coords = marginal.CellCoords(cells[i]);
     for (size_t a = 0; a < marginal.arity(); ++a) {
@@ -259,15 +282,11 @@ Result<nn::Matrix> MixedEncoder::SampleMarginalTargets(
       const AttributeEncoding* attr = enc_attrs[a];
       if (attr->categorical) {
         // The marginal's category bin maps to an encoded pattern.
-        Value v = binning.BinRepresentative(coords[a]);
-        auto it = std::lower_bound(attr->categories.begin(),
-                                   attr->categories.end(), v);
-        if (it == attr->categories.end() || !(*it == v)) {
-          return Status::Internal("marginal category " + v.ToString() +
-                                  " missing from encoder (Fit should have "
-                                  "added it)");
+        size_t& k = category_of_bin[a][coords[a]];
+        if (k == kUnresolved) {
+          MOSAIC_ASSIGN_OR_RETURN(
+              k, CategoryIndex(*attr, binning.BinRepresentative(coords[a])));
         }
-        size_t k = static_cast<size_t>(it - attr->categories.begin());
         WriteCategory(&out, i, offsets[a], attr->width, k,
                       attr->cat_encoding);
       } else if (binning.is_categorical()) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -45,23 +45,30 @@ struct MarginalTerm {
 
 /// Sorted-coupling W2² between two equal-size scalar batches;
 /// accumulates d(loss)/d(x_i) into grad_x (scaled by `coef`).
+///
+/// xs is sorted as {value, index} pairs under a value-only comparator:
+/// std::sort then makes exactly the comparisons and moves it makes on
+/// an index array compared by value, so ties keep index-sort order and
+/// training stays bit-identical to that formulation. ys needs no
+/// indices and is sorted in place as plain values.
 double MatchedW2Squared(const std::vector<double>& xs,
-                        const std::vector<double>& ys, double coef,
+                        std::vector<double>* ys, double coef,
                         std::vector<double>* grad_x) {
   size_t n = xs.size();
-  std::vector<size_t> xi(n), yi(n);
-  std::iota(xi.begin(), xi.end(), size_t{0});
-  std::iota(yi.begin(), yi.end(), size_t{0});
-  std::sort(xi.begin(), xi.end(),
-            [&](size_t a, size_t b) { return xs[a] < xs[b]; });
-  std::sort(yi.begin(), yi.end(),
-            [&](size_t a, size_t b) { return ys[a] < ys[b]; });
+  std::vector<std::pair<double, size_t>> x_sorted(n);
+  for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
+  std::sort(x_sorted.begin(), x_sorted.end(),
+            [](const std::pair<double, size_t>& a,
+               const std::pair<double, size_t>& b) {
+              return a.first < b.first;
+            });
+  std::sort(ys->begin(), ys->end());
   double loss = 0.0;
   double inv_n = 1.0 / static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) {
-    double d = xs[xi[i]] - ys[yi[i]];
+    double d = x_sorted[i].first - (*ys)[i];
     loss += d * d;
-    (*grad_x)[xi[i]] += coef * 2.0 * d * inv_n;
+    (*grad_x)[x_sorted[i].second] += coef * 2.0 * d * inv_n;
   }
   return coef * loss * inv_n;
 }
@@ -143,6 +150,11 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
 
   const size_t B = options.batch_size;
   std::vector<double> proj_x(B), proj_t(B), grad_1d(B);
+  // Coverage scratch: the step's picked sample rows, column-major
+  // (picked[j * subset + s]), and one row's distances to them.
+  const size_t subset =
+      std::min(options.coverage_subset, encoded_sample.rows());
+  std::vector<double> picked(d * subset), dist(subset);
 
   // ---- Training loop -------------------------------------------------------
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
@@ -165,7 +177,7 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
             proj_t[i] = targets.at(i, 0);
           }
           std::fill(grad_1d.begin(), grad_1d.end(), 0.0);
-          loss += MatchedW2Squared(proj_x, proj_t, term.coefficient,
+          loss += MatchedW2Squared(proj_x, &proj_t, term.coefficient,
                                    &grad_1d);
           for (size_t i = 0; i < B; ++i) dx.at(i, col) += grad_1d[i];
         } else {
@@ -187,7 +199,7 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
               proj_t[i] = at;
             }
             std::fill(grad_1d.begin(), grad_1d.end(), 0.0);
-            loss += MatchedW2Squared(proj_x, proj_t, proj_coef, &grad_1d);
+            loss += MatchedW2Squared(proj_x, &proj_t, proj_coef, &grad_1d);
             // Chain rule back through the projection.
             for (size_t i = 0; i < B; ++i) {
               if (grad_1d[i] == 0.0) continue;
@@ -200,27 +212,37 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
       }
 
       // Sample-coverage term: λ E[min_y ||x - y||²] over a random
-      // subset of the encoded sample.
+      // subset of the encoded sample. Full distances to every picked
+      // row are summed over j in order (the inner loop runs across the
+      // rows, so the compiler vectorizes it), and the first strict
+      // minimum wins. An early-exit scan, dropping a row once its
+      // partial sum reaches `best`, picks the same row, because
+      // partial sums of squares only grow.
       if (options.lambda > 0.0) {
-        size_t subset =
-            std::min(options.coverage_subset, encoded_sample.rows());
         auto pick =
             rng.SampleWithoutReplacement(encoded_sample.rows(), subset);
+        for (size_t s = 0; s < subset; ++s) {
+          for (size_t j = 0; j < d; ++j) {
+            picked[j * subset + s] = encoded_sample.at(pick[s], j);
+          }
+        }
         double inv_b = 1.0 / static_cast<double>(B);
         for (size_t i = 0; i < B; ++i) {
+          std::fill(dist.begin(), dist.end(), 0.0);
+          for (size_t j = 0; j < d; ++j) {
+            const double xv = x.at(i, j);
+            const double* col = picked.data() + j * subset;
+            for (size_t s = 0; s < subset; ++s) {
+              double diff = xv - col[s];
+              dist[s] += diff * diff;
+            }
+          }
           double best = 1e300;
           size_t best_r = 0;
           for (size_t s = 0; s < subset; ++s) {
-            size_t r = pick[s];
-            double dist = 0.0;
-            for (size_t j = 0; j < d; ++j) {
-              double diff = x.at(i, j) - encoded_sample.at(r, j);
-              dist += diff * diff;
-              if (dist >= best) break;
-            }
-            if (dist < best) {
-              best = dist;
-              best_r = r;
+            if (dist[s] < best) {
+              best = dist[s];
+              best_r = pick[s];
             }
           }
           loss += options.lambda * best * inv_b;

@@ -4,9 +4,8 @@
 #include "exec/simd.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <initializer_list>
+#include <optional>
 
 #include "exec/simd_internal.h"
 
@@ -25,44 +24,18 @@ const KernelTable* BestAvailable() {
   return &ScalarKernels();
 }
 
-/// Resolve MOSAIC_SIMD once. Values: unset/""/"1"/"auto" = best
-/// available; "0"/"off"/"scalar" = scalar; "sse2"/"avx2"/"neon" =
-/// that level (falling back to auto with a warning when it is not
-/// available on this build/CPU).
+/// Resolve the MOSAIC_SIMD override (common/cpu.h) into a table:
+/// auto = best available; a requested level that is not available on
+/// this build/CPU falls back to auto with a warning.
 const KernelTable* Resolve() {
-  const char* env = std::getenv("MOSAIC_SIMD");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "1") == 0 ||
-      std::strcmp(env, "auto") == 0) {
-    return BestAvailable();
-  }
-  if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "scalar") == 0) {
-    return &ScalarKernels();
-  }
-  SimdIsa want = SimdIsa::kScalar;
-  bool known = true;
-  if (std::strcmp(env, "sse2") == 0) {
-    want = SimdIsa::kSse2;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    want = SimdIsa::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    want = SimdIsa::kNeon;
-  } else {
-    known = false;
-  }
-  if (known) {
-    const KernelTable* t = KernelsFor(want);
-    if (t != nullptr) return t;
-    std::fprintf(stderr,
-                 "mosaic: MOSAIC_SIMD=%s not available on this build/CPU; "
-                 "using auto\n",
-                 env);
-    return BestAvailable();
-  }
+  const std::optional<SimdIsa> want = SimdOverride();
+  if (!want.has_value()) return BestAvailable();
+  const KernelTable* t = KernelsFor(*want);
+  if (t != nullptr) return t;
   std::fprintf(stderr,
-               "mosaic: unknown MOSAIC_SIMD value '%s' "
-               "(want 0|scalar|sse2|avx2|neon|auto); using auto\n",
-               env);
+               "mosaic: MOSAIC_SIMD=%s not available on this build/CPU; "
+               "using auto\n",
+               SimdIsaName(*want));
   return BestAvailable();
 }
 

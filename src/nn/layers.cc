@@ -49,23 +49,27 @@ Matrix ReLU::Forward(const Matrix& x, bool /*training*/) {
 }
 
 Matrix ReLU::Infer(const Matrix& x) const {
+  // Branchless selects: the sign of a pre-activation is a coin flip,
+  // so a branch here is mispredicted half the time.
   Matrix y = x;
-  for (double& v : y.data()) {
-    if (v < 0.0) v = 0.0;
-  }
+  for (double& v : y.data()) v = v < 0.0 ? 0.0 : v;
   return y;
 }
 
 Matrix ReLU::Backward(const Matrix& dy) {
   Matrix dx = dy;
-  for (size_t i = 0; i < dx.size(); ++i) {
-    if (cached_input_.data()[i] <= 0.0) dx.data()[i] = 0.0;
-  }
+  const double* in = cached_input_.data().data();
+  double* out = dx.data().data();
+  for (size_t i = 0; i < dx.size(); ++i) out[i] = in[i] <= 0.0 ? 0.0 : out[i];
   return dx;
 }
 
 // --------------------------------------------------------------------------
 // BatchNorm1d
+//
+// Every pass sweeps the (row-major) batch row by row with one
+// accumulator per column, so each column still sums its rows in order
+// while the memory walk stays sequential.
 // --------------------------------------------------------------------------
 
 BatchNorm1d::BatchNorm1d(size_t features, double momentum, double epsilon)
@@ -82,32 +86,43 @@ Matrix BatchNorm1d::Forward(const Matrix& x, bool training) {
   cached_xhat_ = Matrix(n, f);
   cached_inv_std_.assign(f, 0.0);
   cached_batch_ = n;
-  for (size_t j = 0; j < f; ++j) {
-    double mean, var;
-    if (training && n > 1) {
-      mean = 0.0;
-      for (size_t i = 0; i < n; ++i) mean += x.at(i, j);
-      mean /= static_cast<double>(n);
-      var = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        double d = x.at(i, j) - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(n);
-      running_mean_.at(0, j) = (1.0 - momentum_) * running_mean_.at(0, j) +
-                               momentum_ * mean;
-      running_var_.at(0, j) =
-          (1.0 - momentum_) * running_var_.at(0, j) + momentum_ * var;
-    } else {
-      mean = running_mean_.at(0, j);
-      var = running_var_.at(0, j);
-    }
-    double inv_std = 1.0 / std::sqrt(var + epsilon_);
-    cached_inv_std_[j] = inv_std;
+  std::vector<double> mean(f), var(f);
+  if (training && n > 1) {
     for (size_t i = 0; i < n; ++i) {
-      double xhat = (x.at(i, j) - mean) * inv_std;
-      cached_xhat_.at(i, j) = xhat;
-      y.at(i, j) = gamma_.value.at(0, j) * xhat + beta_.value.at(0, j);
+      const double* row = x.data().data() + i * f;
+      for (size_t j = 0; j < f; ++j) mean[j] += row[j];
+    }
+    for (size_t j = 0; j < f; ++j) mean[j] /= static_cast<double>(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = x.data().data() + i * f;
+      for (size_t j = 0; j < f; ++j) {
+        double d = row[j] - mean[j];
+        var[j] += d * d;
+      }
+    }
+    for (size_t j = 0; j < f; ++j) {
+      var[j] /= static_cast<double>(n);
+      running_mean_.at(0, j) = (1.0 - momentum_) * running_mean_.at(0, j) +
+                               momentum_ * mean[j];
+      running_var_.at(0, j) =
+          (1.0 - momentum_) * running_var_.at(0, j) + momentum_ * var[j];
+    }
+  } else {
+    mean = running_mean_.data();
+    var = running_var_.data();
+  }
+  for (size_t j = 0; j < f; ++j) {
+    cached_inv_std_[j] = 1.0 / std::sqrt(var[j] + epsilon_);
+  }
+  const double* gamma = gamma_.value.data().data();
+  const double* beta = beta_.value.data().data();
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = x.data().data() + i * f;
+    double* xhat = cached_xhat_.data().data() + i * f;
+    double* out = y.data().data() + i * f;
+    for (size_t j = 0; j < f; ++j) {
+      xhat[j] = (row[j] - mean[j]) * cached_inv_std_[j];
+      out[j] = gamma[j] * xhat[j] + beta[j];
     }
   }
   return y;
@@ -116,12 +131,19 @@ Matrix BatchNorm1d::Forward(const Matrix& x, bool training) {
 Matrix BatchNorm1d::Infer(const Matrix& x) const {
   size_t n = x.rows(), f = x.cols();
   Matrix y(n, f);
+  std::vector<double> inv_std(f);
   for (size_t j = 0; j < f; ++j) {
-    double mean = running_mean_.at(0, j);
-    double inv_std = 1.0 / std::sqrt(running_var_.at(0, j) + epsilon_);
-    for (size_t i = 0; i < n; ++i) {
-      double xhat = (x.at(i, j) - mean) * inv_std;
-      y.at(i, j) = gamma_.value.at(0, j) * xhat + beta_.value.at(0, j);
+    inv_std[j] = 1.0 / std::sqrt(running_var_.at(0, j) + epsilon_);
+  }
+  const double* mean = running_mean_.data().data();
+  const double* gamma = gamma_.value.data().data();
+  const double* beta = beta_.value.data().data();
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = x.data().data() + i * f;
+    double* out = y.data().data() + i * f;
+    for (size_t j = 0; j < f; ++j) {
+      double xhat = (row[j] - mean[j]) * inv_std[j];
+      out[j] = gamma[j] * xhat + beta[j];
     }
   }
   return y;
@@ -132,20 +154,28 @@ Matrix BatchNorm1d::Backward(const Matrix& dy) {
   size_t n = dy.rows(), f = dy.cols();
   Matrix dx(n, f);
   double inv_n = 1.0 / static_cast<double>(cached_batch_);
-  for (size_t j = 0; j < f; ++j) {
-    double g = gamma_.value.at(0, j);
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      sum_dy += dy.at(i, j);
-      sum_dy_xhat += dy.at(i, j) * cached_xhat_.at(i, j);
+  std::vector<double> sum_dy(f, 0.0), sum_dy_xhat(f, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* d = dy.data().data() + i * f;
+    const double* xhat = cached_xhat_.data().data() + i * f;
+    for (size_t j = 0; j < f; ++j) {
+      sum_dy[j] += d[j];
+      sum_dy_xhat[j] += d[j] * xhat[j];
     }
-    gamma_.grad.at(0, j) += sum_dy_xhat;
-    beta_.grad.at(0, j) += sum_dy;
-    for (size_t i = 0; i < n; ++i) {
-      double xhat = cached_xhat_.at(i, j);
-      dx.at(i, j) = g * cached_inv_std_[j] *
-                    (dy.at(i, j) - inv_n * sum_dy - inv_n * xhat *
-                                                        sum_dy_xhat);
+  }
+  std::vector<double> scale(f), shift(f);
+  for (size_t j = 0; j < f; ++j) {
+    gamma_.grad.at(0, j) += sum_dy_xhat[j];
+    beta_.grad.at(0, j) += sum_dy[j];
+    scale[j] = gamma_.value.at(0, j) * cached_inv_std_[j];
+    shift[j] = inv_n * sum_dy[j];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const double* d = dy.data().data() + i * f;
+    const double* xhat = cached_xhat_.data().data() + i * f;
+    double* out = dx.data().data() + i * f;
+    for (size_t j = 0; j < f; ++j) {
+      out[j] = scale[j] * (d[j] - shift[j] - inv_n * xhat[j] * sum_dy_xhat[j]);
     }
   }
   return dx;

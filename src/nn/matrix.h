@@ -8,10 +8,16 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/rng.h"
 
 namespace mosaic {
 namespace nn {
+
+/// Kernel level of the matrix products: kAvx2 when this CPU runs AVX2
+/// and MOSAIC_SIMD does not ask for another level, else kScalar (SSE2
+/// and NEON have no GEMM of their own). Resolved once per process.
+SimdIsa GemmIsa();
 
 class Matrix {
  public:
@@ -46,12 +52,20 @@ class Matrix {
   static Matrix Gaussian(size_t rows, size_t cols, Rng* rng,
                          double stddev = 1.0);
 
+  /// Products. Each output element is summed over k in ascending
+  /// order, starting from +0.0, with a separate multiply and add, so
+  /// every kernel level gives the same bits (and the same bits as the
+  /// plain triple loop, for finite inputs). `isa` picks the kernel:
+  /// kAvx2 where the CPU runs it, the scalar kernel otherwise.
   /// C = A * B.
-  static Matrix MatMul(const Matrix& a, const Matrix& b);
+  static Matrix MatMul(const Matrix& a, const Matrix& b,
+                       SimdIsa isa = GemmIsa());
   /// C = A^T * B.
-  static Matrix MatMulTransA(const Matrix& a, const Matrix& b);
+  static Matrix MatMulTransA(const Matrix& a, const Matrix& b,
+                             SimdIsa isa = GemmIsa());
   /// C = A * B^T.
-  static Matrix MatMulTransB(const Matrix& a, const Matrix& b);
+  static Matrix MatMulTransB(const Matrix& a, const Matrix& b,
+                             SimdIsa isa = GemmIsa());
 
   /// this += other * scale (same shape).
   void AddScaled(const Matrix& other, double scale);

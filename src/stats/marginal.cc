@@ -116,6 +116,12 @@ Result<Marginal> Marginal::FromCounts(std::vector<AttributeBinning> attrs,
   m.attrs_ = std::move(attrs);
   m.counts_ = std::move(counts);
   m.total_ = total;
+  m.cdf_.resize(m.counts_.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < m.counts_.size(); ++i) {
+    acc += m.counts_[i];
+    m.cdf_[i] = acc;
+  }
   return m;
 }
 
@@ -298,18 +304,13 @@ Result<std::vector<int64_t>> Marginal::CellIds(const Table& table) const {
 
 std::vector<size_t> Marginal::SampleCells(size_t n, Rng* rng) const {
   // Inverse-CDF sampling over the flattened counts.
-  std::vector<double> cdf(counts_.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    cdf[i] = acc;
-  }
+  const double acc = cdf_.empty() ? 0.0 : cdf_.back();
   std::vector<size_t> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     double target = rng->Uniform() * acc;
     size_t cell = static_cast<size_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), target) - cdf.begin());
+        std::lower_bound(cdf_.begin(), cdf_.end(), target) - cdf_.begin());
     out.push_back(std::min(cell, counts_.size() - 1));
   }
   return out;

@@ -133,6 +133,9 @@ class Marginal {
   std::vector<AttributeBinning> attrs_;
   std::vector<double> counts_;
   double total_ = 0.0;
+  /// Running sums of counts_, built with them: SampleCells runs once
+  /// per marginal per training step and must not rebuild it.
+  std::vector<double> cdf_;
 };
 
 }  // namespace stats

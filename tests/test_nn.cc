@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/cpu.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
@@ -57,6 +63,176 @@ TEST(Matrix, TransposedMatMulsAgreeWithExplicit) {
   Matrix got2 = Matrix::MatMulTransB(a, c);
   for (size_t i = 0; i < expect2.size(); ++i) {
     EXPECT_NEAR(got2.data()[i], expect2.data()[i], 1e-12);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GEMM parity: the blocked products equal, bit for bit, the plain loops
+// they replaced (copied below as the reference), on every kernel level
+// this CPU runs, for every edge-tile shape.
+// ---------------------------------------------------------------------------
+
+Matrix RefMatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      double av = a.data()[i * a.cols() + k];
+      if (av == 0.0) continue;
+      const double* brow = b.data().data() + k * b.cols();
+      double* crow = c.data().data() + i * c.cols();
+      for (size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix RefMatMulTransA(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (size_t k = 0; k < a.rows(); ++k) {
+    const double* arow = a.data().data() + k * a.cols();
+    const double* brow = b.data().data() + k * b.cols();
+    for (size_t i = 0; i < a.cols(); ++i) {
+      double av = arow[i];
+      if (av == 0.0) continue;
+      double* crow = c.data().data() + i * c.cols();
+      for (size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+Matrix RefMatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.data().data() + i * a.cols();
+    for (size_t j = 0; j < b.rows(); ++j) {
+      const double* brow = b.data().data() + j * b.cols();
+      double acc = 0.0;
+      for (size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
+      c.data()[i * c.cols() + j] = acc;
+    }
+  }
+  return c;
+}
+
+/// Same shape and the same bits in every element (memcmp, so -0.0
+/// differs from +0.0).
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data().data(), y.data().data(),
+                      x.size() * sizeof(double)) == 0);
+}
+
+std::vector<SimdIsa> GemmLevels() {
+  std::vector<SimdIsa> levels = {SimdIsa::kScalar};
+  if (CpuSupports(SimdIsa::kAvx2)) levels.push_back(SimdIsa::kAvx2);
+  return levels;
+}
+
+enum class Fill { kGaussian, kPostRelu, kSignedZeros, kDenormals };
+
+const char* FillName(Fill fill) {
+  switch (fill) {
+    case Fill::kGaussian:
+      return "gaussian";
+    case Fill::kPostRelu:
+      return "post-relu";
+    case Fill::kSignedZeros:
+      return "signed-zeros";
+    case Fill::kDenormals:
+      return "denormals";
+  }
+  return "?";
+}
+
+Matrix MakeInput(size_t rows, size_t cols, Fill fill, Rng* rng) {
+  Matrix m(rows, cols);
+  for (double& v : m.data()) {
+    double g = rng->Gaussian();
+    switch (fill) {
+      case Fill::kGaussian:
+        v = g;
+        break;
+      case Fill::kPostRelu:  // about half exact zeros
+        v = g < 0.0 ? 0.0 : g;
+        break;
+      case Fill::kSignedZeros:  // -0.0, +0.0 and values, a third each
+        switch (rng->UniformInt(3)) {
+          case 0:
+            v = -0.0;
+            break;
+          case 1:
+            v = 0.0;
+            break;
+          default:
+            v = g;
+        }
+        break;
+      case Fill::kDenormals:
+        // Subnormals, values whose pairwise products are subnormal,
+        // zeros and ordinary values: products and sums cross the
+        // gradual-underflow range.
+        switch (rng->UniformInt(4)) {
+          case 0:
+            v = std::ldexp(g, -1040);
+            break;
+          case 1:
+            v = std::ldexp(g, -520);
+            break;
+          case 2:
+            v = 0.0;
+            break;
+          default:
+            v = g;
+        }
+        break;
+    }
+  }
+  return m;
+}
+
+TEST(Gemm, ProductsMatchPlainLoopsBitForBitOnEveryLevel) {
+  const size_t dims[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 50};
+  Rng rng(21);
+  for (Fill fill : {Fill::kGaussian, Fill::kPostRelu, Fill::kSignedZeros,
+                    Fill::kDenormals}) {
+    for (size_t m : dims) {
+      for (size_t n : dims) {
+        for (size_t k : dims) {
+          const Matrix a = MakeInput(m, k, fill, &rng);
+          const Matrix b = MakeInput(k, n, fill, &rng);
+          const Matrix at = MakeInput(k, m, fill, &rng);
+          const Matrix bt = MakeInput(n, k, fill, &rng);
+          const Matrix want = RefMatMul(a, b);
+          const Matrix want_ta = RefMatMulTransA(at, b);
+          const Matrix want_tb = RefMatMulTransB(a, bt);
+          for (SimdIsa isa : GemmLevels()) {
+            const std::string where =
+                std::string(FillName(fill)) + " " + SimdIsaName(isa) +
+                " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                " k=" + std::to_string(k);
+            ASSERT_TRUE(SameBits(Matrix::MatMul(a, b, isa), want))
+                << "MatMul " << where;
+            ASSERT_TRUE(SameBits(Matrix::MatMulTransA(at, b, isa), want_ta))
+                << "MatMulTransA " << where;
+            ASSERT_TRUE(SameBits(Matrix::MatMulTransB(a, bt, isa), want_tb))
+                << "MatMulTransB " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, DefaultLevelFollowsTheSimdOverride) {
+  const SimdIsa isa = GemmIsa();
+  EXPECT_TRUE(isa == SimdIsa::kScalar || isa == SimdIsa::kAvx2);
+  if (SimdOverride().has_value() && *SimdOverride() != SimdIsa::kAvx2) {
+    EXPECT_EQ(isa, SimdIsa::kScalar);  // MOSAIC_SIMD=0 forces scalar
+  }
+  if (isa == SimdIsa::kAvx2) {
+    EXPECT_TRUE(CpuSupports(SimdIsa::kAvx2));
   }
 }
 
@@ -206,6 +382,140 @@ TEST(BatchNorm, GradientCheck) {
   Matrix x = Matrix::Gaussian(8, 3, &rng);
   CheckInputGradient(&bn, x, 8, 3, 1e-4);
   CheckParamGradients(&bn, x, 8, 3, 1e-4);
+}
+
+// ReLU and BatchNorm against the element loops and column sweeps they
+// replaced, copied below as the reference: same bits, forward and
+// backward.
+
+TEST(ReLULayer, MatchesBranchingLoopsBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, 0.0, -1.0, 2.5, 5e-324, -5e-324,
+                             inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(22);
+  Matrix x = MakeInput(7, 9, Fill::kSignedZeros, &rng);
+  for (size_t i = 0; i < std::size(specials); ++i) x.data()[i] = specials[i];
+  Matrix dy = MakeInput(7, 9, Fill::kGaussian, &rng);
+
+  Matrix want_y = x;
+  for (double& v : want_y.data()) {
+    if (v < 0.0) v = 0.0;
+  }
+  Matrix want_dx = dy;
+  for (size_t i = 0; i < want_dx.size(); ++i) {
+    if (x.data()[i] <= 0.0) want_dx.data()[i] = 0.0;
+  }
+
+  ReLU relu;
+  EXPECT_TRUE(SameBits(relu.Forward(x, true), want_y));
+  EXPECT_TRUE(SameBits(relu.Infer(x), want_y));
+  EXPECT_TRUE(SameBits(relu.Backward(dy), want_dx));
+}
+
+/// The column-sweep BatchNorm1d the row-major passes replaced.
+struct RefBatchNorm {
+  explicit RefBatchNorm(size_t f)
+      : gamma(1, f, 1.0), beta(1, f), gamma_grad(1, f), beta_grad(1, f),
+        running_mean(1, f, 0.0), running_var(1, f, 1.0) {}
+
+  Matrix Forward(const Matrix& x, bool training) {
+    size_t n = x.rows(), f = x.cols();
+    Matrix y(n, f);
+    xhat = Matrix(n, f);
+    inv_std.assign(f, 0.0);
+    batch = n;
+    for (size_t j = 0; j < f; ++j) {
+      double mean, var;
+      if (training && n > 1) {
+        mean = 0.0;
+        for (size_t i = 0; i < n; ++i) mean += x.at(i, j);
+        mean /= static_cast<double>(n);
+        var = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          double d = x.at(i, j) - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(n);
+        running_mean.at(0, j) =
+            (1.0 - momentum) * running_mean.at(0, j) + momentum * mean;
+        running_var.at(0, j) =
+            (1.0 - momentum) * running_var.at(0, j) + momentum * var;
+      } else {
+        mean = running_mean.at(0, j);
+        var = running_var.at(0, j);
+      }
+      double s = 1.0 / std::sqrt(var + epsilon);
+      inv_std[j] = s;
+      for (size_t i = 0; i < n; ++i) {
+        double h = (x.at(i, j) - mean) * s;
+        xhat.at(i, j) = h;
+        y.at(i, j) = gamma.at(0, j) * h + beta.at(0, j);
+      }
+    }
+    return y;
+  }
+
+  Matrix Backward(const Matrix& dy) {
+    size_t n = dy.rows(), f = dy.cols();
+    Matrix dx(n, f);
+    double inv_n = 1.0 / static_cast<double>(batch);
+    for (size_t j = 0; j < f; ++j) {
+      double g = gamma.at(0, j);
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        sum_dy += dy.at(i, j);
+        sum_dy_xhat += dy.at(i, j) * xhat.at(i, j);
+      }
+      gamma_grad.at(0, j) += sum_dy_xhat;
+      beta_grad.at(0, j) += sum_dy;
+      for (size_t i = 0; i < n; ++i) {
+        double h = xhat.at(i, j);
+        dx.at(i, j) = g * inv_std[j] *
+                      (dy.at(i, j) - inv_n * sum_dy - inv_n * h * sum_dy_xhat);
+      }
+    }
+    return dx;
+  }
+
+  double momentum = 0.1, epsilon = 1e-5;
+  Matrix gamma, beta, gamma_grad, beta_grad, running_mean, running_var;
+  Matrix xhat;
+  std::vector<double> inv_std;
+  size_t batch = 0;
+};
+
+TEST(BatchNorm, MatchesColumnSweepBitForBit) {
+  Rng rng(23);
+  for (size_t n : {1, 2, 7, 64}) {
+    for (size_t f : {1, 3, 50}) {
+      BatchNorm1d bn(f);
+      RefBatchNorm ref(f);
+      Matrix gamma = MakeInput(1, f, Fill::kGaussian, &rng);
+      Matrix beta = MakeInput(1, f, Fill::kGaussian, &rng);
+      bn.Params()[0]->value = gamma;
+      bn.Params()[1]->value = beta;
+      ref.gamma = gamma;
+      ref.beta = beta;
+      const std::string where =
+          "n=" + std::to_string(n) + " f=" + std::to_string(f);
+      // Training steps move the running statistics the eval passes
+      // below read, so those pin the running updates too.
+      for (Fill fill : {Fill::kGaussian, Fill::kPostRelu, Fill::kDenormals}) {
+        Matrix x = MakeInput(n, f, fill, &rng);
+        Matrix dy = MakeInput(n, f, Fill::kGaussian, &rng);
+        ASSERT_TRUE(SameBits(bn.Forward(x, true), ref.Forward(x, true)))
+            << "forward " << where;
+        ASSERT_TRUE(SameBits(bn.Backward(dy), ref.Backward(dy)))
+            << "backward " << where;
+        ASSERT_TRUE(SameBits(bn.Params()[0]->grad, ref.gamma_grad)) << where;
+        ASSERT_TRUE(SameBits(bn.Params()[1]->grad, ref.beta_grad)) << where;
+      }
+      Matrix x = MakeInput(n, f, Fill::kGaussian, &rng);
+      Matrix want = ref.Forward(x, false);
+      EXPECT_TRUE(SameBits(bn.Infer(x), want)) << "infer " << where;
+      EXPECT_TRUE(SameBits(bn.Forward(x, false), want)) << "eval " << where;
+    }
+  }
 }
 
 TEST(Softmax, BlockSumsToOneAndLeavesRestAlone) {
