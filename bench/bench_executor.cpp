@@ -1,6 +1,6 @@
-// Vectorized-executor benchmark: row path (legacy interpreter) vs
-// batch path over a synthetic weighted table, covering the hot query
-// shapes of the paper's workload — filter + weighted aggregate
+// Vectorized-executor benchmark: the row-at-a-time test oracle vs the
+// batch engine path over a synthetic weighted table, covering the hot
+// query shapes of the paper's workload — filter + weighted aggregate
 // (the §5.3 rewrite), grouped aggregation, and ORDER BY ... LIMIT.
 //
 // Emits BENCH_executor.json into the working directory (see
@@ -51,13 +51,17 @@ Table MakeSynthetic(size_t rows) {
   return Table(std::move(s), std::move(columns), rows);
 }
 
-double RunTimedOpts(const Table& t, const sql::SelectStmt& stmt,
-                    const exec::ExecOptions& opts, int reps, Table* out,
-                    metrics::Histogram* hist = nullptr) {
+/// Best-of-`reps` wall time of one query on the engine path, or on
+/// the row-at-a-time test oracle when `row_path` is set.
+double RunTimed(const Table& t, const sql::SelectStmt& stmt, bool row_path,
+                int reps, Table* out, metrics::Histogram* hist = nullptr) {
+  exec::ExecOptions opts;
+  opts.weight_column = "weight";
   double best_ms = 1e300;
   for (int i = 0; i < reps; ++i) {
     auto start = std::chrono::steady_clock::now();
-    auto result = exec::ExecuteSelect(t, stmt, opts);
+    auto result = row_path ? exec::ExecuteSelectRowOracle(t, stmt, opts)
+                           : exec::ExecuteSelect(t, stmt, opts);
     auto end = std::chrono::steady_clock::now();
     Check(result.status(), "query");
     double ms =
@@ -87,14 +91,6 @@ struct BenchResult {
   metrics::HistogramSnapshot latency;
   double speedup() const { return batch_ms > 0.0 ? row_ms / batch_ms : 0.0; }
 };
-
-double RunTimed(const Table& t, const sql::SelectStmt& stmt, bool row_path,
-                int reps, Table* out, metrics::Histogram* hist = nullptr) {
-  exec::ExecOptions opts;
-  opts.weight_column = "weight";
-  opts.use_row_path = row_path;
-  return RunTimedOpts(t, stmt, opts, reps, out, hist);
-}
 
 BenchResult RunBench(const Table& t, const std::string& name,
                      const std::string& sql, int row_reps, int batch_reps) {

@@ -220,12 +220,6 @@ run_suite "Release" build-release -DCMAKE_BUILD_TYPE=Release
 run_server_e2e "Release" build-release
 run_crash_recovery "Release" build-release
 
-# Weight-epoch pinning must hold on both exec paths: run the
-# concurrency suite again through the row-path oracle.
-echo "=== Release + MOSAIC_ROW_PATH=1: weight-epoch concurrency ==="
-MOSAIC_ROW_PATH=1 ctest --test-dir build-release --output-on-failure \
-  -R 'test_(weight_epochs|service)'
-
 # Tracing must never change results: run the cross-path SQL parity
 # fuzzer and the service suite with per-query tracing forced on, so
 # every parity assertion doubles as a traced-vs-untraced check. The

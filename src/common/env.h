@@ -18,7 +18,7 @@ namespace mosaic {
 std::optional<size_t> EnvSize(const char* name);
 
 /// True when the flag-style variable is set to "1" (the repo's
-/// convention for MOSAIC_ROW_PATH / MOSAIC_BENCH_FULL). Any other
+/// convention for MOSAIC_TRACE / MOSAIC_BENCH_FULL). Any other
 /// non-empty value logs a warning and reads as false.
 bool EnvFlag(const char* name);
 

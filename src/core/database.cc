@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/query_log.h"
@@ -39,22 +38,9 @@ Table TailRows(const Table& table, size_t begin) {
   return table.Filter(rows);
 }
 
-/// Attach a weight column to a copy of `data`.
-[[nodiscard]] Result<Table> WithWeights(const Table& data,
-                          const std::vector<double>& weights) {
-  if (data.schema().FindColumn(kWeightColumn)) {
-    return Status::InvalidArgument(
-        "relation already has a 'weight' column; it clashes with Mosaic's "
-        "managed weights");
-  }
-  Table out = data;
-  MOSAIC_RETURN_IF_ERROR(out.AddDoubleColumn(kWeightColumn, weights));
-  return out;
-}
-
-/// Zero-copy counterpart of WithWeights: a view over `data`'s columns
-/// plus a span over the external weight vector. `weights` must
-/// outlive the view.
+/// A zero-copy view over `data`'s columns plus a span over the
+/// external weight vector, named "weight". `weights` must outlive the
+/// view.
 [[nodiscard]] Result<TableView> MakeWeightedView(const Table& data,
                                    const std::vector<double>& weights) {
   if (data.schema().FindColumn(kWeightColumn)) {
@@ -149,7 +135,6 @@ Database::Database() : model_cache_(kDefaultModelCacheCapacity) {
   open_.mswg.steps_per_epoch = 30;
   open_.mswg.batch_size = 256;
   open_.mswg.projections_per_step = 16;
-  if (EnvFlag("MOSAIC_ROW_PATH")) force_row_exec_ = true;
   // The five system tables always resolve: queries and metrics read
   // the live process-wide stores; sessions/connections/snapshots are
   // empty schema stubs until the service/network layers override them
@@ -208,8 +193,7 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
                             "' (available: " + names + ")");
   }
   // Materialize the snapshot once, then run the ordinary executor
-  // over a zero-copy view of it — same two paths, same parity
-  // guarantees as any auxiliary table.
+  // over a zero-copy view of it, as for any auxiliary table.
   Table snapshot;
   {
     trace::ScopedSpan span(trace, trace_parent, "system_snapshot");
@@ -220,7 +204,6 @@ Result<Table> Database::ExecuteSystemSelect(const sql::SelectStmt& stmt,
     }
   }
   exec::ExecOptions opts;
-  opts.use_row_path = force_row_exec_;
   opts.trace = trace;
   opts.trace_parent = trace_parent;
   return exec::ExecuteSelect(snapshot, stmt, opts);
@@ -332,7 +315,6 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
     }
     MOSAIC_ASSIGN_OR_RETURN(Table* table, catalog_.GetTable(stmt.from));
     exec::ExecOptions opts;
-    opts.use_row_path = force_row_exec_;
     opts.trace = trace;
     opts.trace_parent = trace_parent;
     return exec::ExecuteSelect(*table, stmt, opts);
@@ -360,15 +342,6 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
       if (trace != nullptr) {
         pin_span.Note("epoch=" + std::to_string(epoch->id));
       }
-    }
-    if (force_row_exec_) {
-      MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                              WithWeights(sample->data, epoch->weights));
-      exec::ExecOptions opts;
-      opts.use_row_path = true;
-      opts.trace = trace;
-      opts.trace_parent = trace_parent;
-      return exec::ExecuteSelect(with_w, stmt, opts);
     }
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, epoch->weights));
@@ -449,11 +422,6 @@ Result<Table> Database::RestrictToPopulation(
   if (population.global || population.predicate == nullptr) {
     return sample_data;
   }
-  if (force_row_exec_) {
-    MOSAIC_ASSIGN_OR_RETURN(
-        auto rows, exec::FilterRows(sample_data, *population.predicate));
-    return sample_data.Filter(rows);
-  }
   // Batch filter + typed gather: one selection pass over spans, one
   // materialization for consumers that need an owning Table (IPF /
   // M-SWG training input).
@@ -502,20 +470,10 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
   switch (vis) {
     case sql::Visibility::kClosed: {
       // LAV-view answering: the sample tuples that belong to the
-      // population, no debiasing. The batch path answers over a
-      // zero-copy view of the sample restricted by a selection
-      // vector; no intermediate Table is materialized.
+      // population, no debiasing, answered over a zero-copy view of
+      // the sample restricted by a selection vector; no intermediate
+      // Table is materialized.
       MOSAIC_ASSIGN_OR_RETURN(SampleInfo* sample, ChooseSample(*population));
-      if (force_row_exec_) {
-        MOSAIC_ASSIGN_OR_RETURN(
-            Table restricted,
-            RestrictToPopulation(sample->data, *population));
-        exec::ExecOptions opts;
-        opts.use_row_path = true;
-        opts.trace = trace;
-        opts.trace_parent = trace_parent;
-        return exec::ExecuteSelect(restricted, stmt, opts);
-      }
       TableView view(sample->data);
       MOSAIC_ASSIGN_OR_RETURN(SelectionVector sel,
                               PopulationSelection(view, *population));
@@ -543,18 +501,6 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
         if (trace != nullptr) {
           span.Note("epoch=" + std::to_string(epoch->id));
         }
-      }
-      if (force_row_exec_) {
-        MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                                WithWeights(sample->data, epoch->weights));
-        MOSAIC_ASSIGN_OR_RETURN(Table restricted,
-                                RestrictToPopulation(with_w, *population));
-        exec::ExecOptions opts;
-        opts.weight_column = kWeightColumn;
-        opts.use_row_path = true;
-        opts.trace = trace;
-        opts.trace_parent = trace_parent;
-        return exec::ExecuteSelect(restricted, stmt, opts);
       }
       MOSAIC_ASSIGN_OR_RETURN(TableView view,
                               MakeWeightedView(sample->data, epoch->weights));
@@ -588,22 +534,11 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
           trace::ScopedSpan gen_span(
               trace, trace_parent, ("generate " + std::to_string(k)).c_str());
           const uint64_t seed = open_.generation_seed + k;
-          if (force_row_exec_) {
-            MOSAIC_ASSIGN_OR_RETURN(
-                Table generated,
-                GenerateFromModel(model, open_.generated_rows, seed));
-            exec::ExecOptions opts;
-            opts.weight_column = kWeightColumn;
-            opts.use_row_path = true;
-            opts.trace = trace;
-            opts.trace_parent = gen_span.id();
-            return exec::ExecuteSelect(generated, stmt, opts);
-          }
-          // Batch path: answer over a weighted view of the raw
-          // generated table; the uniform §5.3 weights are an external
-          // span and the view-restriction predicate (when the query
-          // population is a view over the GP) becomes a selection
-          // vector — no weighted or filtered copy is materialized.
+          // Answer over a weighted view of the raw generated table:
+          // the uniform §5.3 weights are an external span and the
+          // view-restriction predicate (when the query population is
+          // a view over the GP) becomes a selection vector — no
+          // weighted or filtered copy is materialized.
           MOSAIC_ASSIGN_OR_RETURN(
               GeneratedSample gen,
               GenerateSample(model, open_.generated_rows, seed));
@@ -941,26 +876,22 @@ Result<Database::GeneratedSample> Database::GenerateSample(
   return out;
 }
 
-Result<Table> Database::GenerateFromModel(const OpenWorldModel& model,
-                                          size_t rows, uint64_t seed) const {
-  MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
-                          GenerateSample(model, rows, seed));
-  MOSAIC_ASSIGN_OR_RETURN(Table weighted, WithWeights(gen.data, gen.weights));
-  if (model.restrict_predicate != nullptr) {
-    // Generated tuples represent the GP; the query population is a
-    // view.
-    MOSAIC_ASSIGN_OR_RETURN(
-        auto keep, exec::FilterRows(weighted, *model.restrict_predicate));
-    weighted = weighted.Filter(keep);
-  }
-  return weighted;
-}
-
 Result<Table> Database::GenerateOpenWorldTable(
     const std::string& population_name, size_t rows, uint64_t seed) {
   MOSAIC_ASSIGN_OR_RETURN(OpenWorldModel model,
                           PrepareOpenWorldModel(population_name));
-  return GenerateFromModel(model, rows, seed);
+  MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
+                          GenerateSample(model, rows, seed));
+  MOSAIC_ASSIGN_OR_RETURN(TableView view,
+                          MakeWeightedView(gen.data, gen.weights));
+  SelectionVector sel = SelectionVector::All(view.num_rows());
+  if (model.restrict_predicate != nullptr) {
+    // Generated tuples represent the GP; the query population is a
+    // view.
+    MOSAIC_ASSIGN_OR_RETURN(
+        sel, exec::SelectRows(view, *model.restrict_predicate));
+  }
+  return view.Materialize(sel);
 }
 
 // ---------------------------------------------------------------------------
@@ -1474,48 +1405,9 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     // epoch. A failing expression publishes nothing, and concurrent
     // readers keep the epoch they pinned.
     WeightEpochPtr prev = sample->weights.Pin();
-    if (force_row_exec_) {
-      MOSAIC_ASSIGN_OR_RETURN(Table with_w,
-                              WithWeights(sample->data, prev->weights));
-      std::vector<size_t> rows;
-      if (stmt.where != nullptr) {
-        MOSAIC_ASSIGN_OR_RETURN(rows, exec::FilterRows(with_w, *stmt.where));
-      } else {
-        rows.resize(with_w.num_rows());
-        std::iota(rows.begin(), rows.end(), size_t{0});
-      }
-      exec::Binder binder(&with_w.schema());
-      std::vector<std::vector<double>> new_weights;
-      for (const auto& [col_name, expr] : stmt.assignments) {
-        if (!EqualsIgnoreCase(col_name, kWeightColumn)) {
-          return Status::NotImplemented(
-              "UPDATE on samples currently only supports SET weight = ...");
-        }
-        MOSAIC_ASSIGN_OR_RETURN(auto bound, binder.Bind(*expr));
-        std::vector<double> values;
-        values.reserve(rows.size());
-        for (size_t r : rows) {
-          MOSAIC_ASSIGN_OR_RETURN(Value v,
-                                  exec::EvaluateExpr(*bound, with_w, r));
-          MOSAIC_ASSIGN_OR_RETURN(double w, v.ToDouble());
-          values.push_back(w);
-        }
-        new_weights.push_back(std::move(values));
-      }
-      std::vector<double> next = prev->weights;
-      for (const auto& values : new_weights) {
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (values[i] < 0.0) {
-            return Status::InvalidArgument("weights must be non-negative");
-          }
-          next[rows[i]] = values[i];
-        }
-      }
-      return PublishWeights(sample, std::move(next)).status();
-    }
-    // Batch path: weighted zero-copy view over the pinned epoch;
-    // assignments are evaluated as whole batches against the
-    // pre-update weights, then written into the copy in row order.
+    // Weighted zero-copy view over the pinned epoch; assignments are
+    // evaluated as whole batches against the pre-update weights, then
+    // written into the copy in row order.
     MOSAIC_ASSIGN_OR_RETURN(TableView view,
                             MakeWeightedView(sample->data, prev->weights));
     SelectionVector rows = SelectionVector::All(view.num_rows());

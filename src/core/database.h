@@ -18,6 +18,12 @@
 // the query population reweights the restricted sample directly; with
 // only GP metadata the engine reweights to the GP and treats the
 // query population as a view over the reweighted sample.
+//
+// Every level answers through the one executor path
+// (exec/executor.h) over a zero-copy view: the sample, the sample
+// plus its pinned weight epoch, or a generated sample plus its
+// uniform weights, restricted to the population by a selection
+// vector; no weighted or restricted copy is materialized.
 #ifndef MOSAIC_CORE_DATABASE_H_
 #define MOSAIC_CORE_DATABASE_H_
 
@@ -43,10 +49,6 @@
 #include "storage/table.h"
 
 namespace mosaic {
-
-namespace exec {
-struct ExecOptions;  // exec/executor.h — only named by value here
-}  // namespace exec
 
 namespace core {
 
@@ -206,7 +208,10 @@ class Database {
 
   /// Train (or fetch the cached) M-SWG for the population and
   /// generate one weighted open-world table: `rows` generated tuples,
-  /// each carrying weight population_size / rows in column "weight".
+  /// each carrying weight population_size / rows in column "weight",
+  /// restricted to the population when it is a view over the GP.
+  /// With rows = generated_rows and seed = generation_seed + k this
+  /// is exactly the relation run k of an OPEN query answers over.
   [[nodiscard]] Result<Table> GenerateOpenWorldTable(const std::string& population,
                                        size_t rows, uint64_t seed);
 
@@ -271,14 +276,6 @@ class Database {
   /// Hit/miss/eviction counters of the trained-generator cache.
   CacheStats ModelCacheStats() const { return model_cache_.Stats(); }
 
-  /// Route SELECT execution through the legacy row-at-a-time
-  /// interpreter and materializing relation plumbing instead of the
-  /// zero-copy batch path. The two are bit-identical; this is the
-  /// parity oracle for differential tests. Also enabled by setting
-  /// MOSAIC_ROW_PATH=1 in the environment.
-  void set_force_row_exec(bool enabled) { force_row_exec_ = enabled; }
-  bool force_row_exec() const { return force_row_exec_; }
-
   /// When set, the `num_generated_samples` independent OPEN-query
   /// samples are generated on this pool instead of sequentially.
   /// Seeds are threaded per sample index (generation_seed + k), so
@@ -311,7 +308,7 @@ class Database {
 
   /// Snapshot the named system table (name already lower-cased,
   /// including the "system." prefix) and run `stmt` over it through
-  /// the configured exec path.
+  /// the executor.
   [[nodiscard]] Result<Table> ExecuteSystemSelect(const sql::SelectStmt& stmt,
                                     trace::QueryTrace* trace,
                                     uint32_t trace_parent);
@@ -404,20 +401,14 @@ class Database {
   /// Raw generated tuples plus their uniform §5.3 weights
   /// (population_size / rows), before weight attachment and
   /// view-restriction — the single source both the materializing
-  /// (GenerateFromModel) and zero-copy (OPEN batch) consumers build
-  /// on.
+  /// (GenerateOpenWorldTable) and zero-copy (OPEN query) consumers
+  /// build on.
   struct GeneratedSample {
     Table data;
     std::vector<double> weights;
   };
   [[nodiscard]] Result<GeneratedSample> GenerateSample(const OpenWorldModel& model,
                                          size_t rows, uint64_t seed) const;
-
-  /// Generate one weighted open-world table from a prepared model.
-  /// Const and thread-safe: generation threads share the model and
-  /// differ only in their seed.
-  [[nodiscard]] Result<Table> GenerateFromModel(const OpenWorldModel& model, size_t rows,
-                                  uint64_t seed) const;
 
   Catalog catalog_;
   SemiOpenOptions semi_open_;
@@ -443,7 +434,6 @@ class Database {
   std::atomic<uint64_t> weight_refits_incremental_{0};
   ThreadPool* gen_pool_ = nullptr;
   bool union_samples_ = false;
-  bool force_row_exec_ = false;
   /// Write-ahead-logging hook; null when running without durability.
   DurabilitySink* durability_ = nullptr;
   /// Providers behind the `system.*` schema, keyed by bare table name

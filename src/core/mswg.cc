@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "stats/wasserstein.h"
 
 namespace mosaic {
 namespace core {
@@ -42,36 +43,6 @@ struct MarginalTerm {
   /// Fixed Ω: row-major (num_projections x cols.size()) unit vectors.
   nn::Matrix omega;
 };
-
-/// Sorted-coupling W2² between two equal-size scalar batches;
-/// accumulates d(loss)/d(x_i) into grad_x (scaled by `coef`).
-///
-/// xs is sorted as {value, index} pairs under a value-only comparator:
-/// std::sort then makes exactly the comparisons and moves it makes on
-/// an index array compared by value, so ties keep index-sort order and
-/// training stays bit-identical to that formulation. ys needs no
-/// indices and is sorted in place as plain values.
-double MatchedW2Squared(const std::vector<double>& xs,
-                        std::vector<double>* ys, double coef,
-                        std::vector<double>* grad_x) {
-  size_t n = xs.size();
-  std::vector<std::pair<double, size_t>> x_sorted(n);
-  for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
-  std::sort(x_sorted.begin(), x_sorted.end(),
-            [](const std::pair<double, size_t>& a,
-               const std::pair<double, size_t>& b) {
-              return a.first < b.first;
-            });
-  std::sort(ys->begin(), ys->end());
-  double loss = 0.0;
-  double inv_n = 1.0 / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    double d = x_sorted[i].first - (*ys)[i];
-    loss += d * d;
-    (*grad_x)[x_sorted[i].second] += coef * 2.0 * d * inv_n;
-  }
-  return coef * loss * inv_n;
-}
 
 }  // namespace
 
@@ -177,8 +148,8 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
             proj_t[i] = targets.at(i, 0);
           }
           std::fill(grad_1d.begin(), grad_1d.end(), 0.0);
-          loss += MatchedW2Squared(proj_x, &proj_t, term.coefficient,
-                                   &grad_1d);
+          loss += stats::MatchedW2Squared(proj_x, &proj_t, term.coefficient,
+                                          &grad_1d);
           for (size_t i = 0; i < B; ++i) dx.at(i, col) += grad_1d[i];
         } else {
           size_t k = std::min(options.projections_per_step,
@@ -199,7 +170,8 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
               proj_t[i] = at;
             }
             std::fill(grad_1d.begin(), grad_1d.end(), 0.0);
-            loss += MatchedW2Squared(proj_x, &proj_t, proj_coef, &grad_1d);
+            loss += stats::MatchedW2Squared(proj_x, &proj_t, proj_coef,
+                                            &grad_1d);
             // Chain rule back through the projection.
             for (size_t i = 0; i < B; ++i) {
               if (grad_1d[i] == 0.0) continue;

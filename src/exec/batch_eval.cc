@@ -421,7 +421,7 @@ void CodeCompareInto(const ColumnSpan& span, const std::string& literal,
           return Status::OK();
         default: {
           if (n == 0) return Status::OK();
-          // Same error the row path raises on the first row.
+          // Same error the row evaluator raises on the first row.
           auto err = Value(span.dict->Decode(span.codes[rows[0]])).ToDouble();
           return err.status();
         }

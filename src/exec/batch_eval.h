@@ -11,7 +11,7 @@
 // observable behaviour exactly — numeric comparisons go through
 // double like Value::operator<, AND/OR only evaluate the right side
 // on rows the left side did not short-circuit, and int-typed
-// arithmetic rounds through double like the row path — so results are
+// arithmetic rounds through double like the row evaluator — so results are
 // bit-identical to EvaluateExpr row by row. tests/test_exec_parity.cc
 // enforces this against randomized queries.
 #ifndef MOSAIC_EXEC_BATCH_EVAL_H_
@@ -84,7 +84,7 @@ struct BatchVec {
 
 /// Rows of `view` where the bound boolean predicate holds. Conjuncts
 /// refine the selection left to right, so the right side of an AND is
-/// only evaluated on surviving rows (row-path short-circuit parity).
+/// only evaluated on surviving rows (row evaluator short-circuit parity).
 [[nodiscard]] Result<SelectionVector> FilterView(const TableView& view,
                                    const BoundExpr& predicate);
 

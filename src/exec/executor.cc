@@ -164,8 +164,8 @@ DataType AggOutputType(const AggSpec& spec, bool weighted) {
 
 /// Project finalized groups through the SELECT items (and HAVING),
 /// via a one-row synthetic table carrying the group key — shared by
-/// the row and batch paths so post-aggregation semantics cannot
-/// drift.
+/// the batch path and the row oracle so post-aggregation semantics
+/// cannot drift.
 [[nodiscard]] Result<Table> EmitGroups(const Schema& schema, const sql::SelectStmt& stmt,
                          const std::vector<BoundExprPtr>& bound_items,
                          const BoundExpr* bound_having,
@@ -237,7 +237,7 @@ DataType AggOutputType(const AggSpec& spec, bool weighted) {
 }
 
 // ---------------------------------------------------------------------------
-// Row path (legacy interpreter, kept as the parity oracle)
+// Row oracle (the original Value-at-a-time interpreter)
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] Status ApplyOrderByAndLimit(const sql::SelectStmt& stmt, Table* out,
@@ -273,9 +273,11 @@ DataType AggOutputType(const AggSpec& spec, bool weighted) {
   return Status::OK();
 }
 
-[[nodiscard]] Result<Table> ExecuteSelectRow(const Table& source,
-                               const sql::SelectStmt& stmt,
-                               const ExecOptions& opts) {
+}  // namespace
+
+[[nodiscard]] Result<Table> ExecuteSelectRowOracle(const Table& source,
+                                     const sql::SelectStmt& stmt,
+                                     const ExecOptions& opts) {
   const Schema& schema = source.schema();
   const bool weighted = !opts.weight_column.empty();
   std::optional<size_t> weight_idx;
@@ -473,6 +475,8 @@ DataType AggOutputType(const AggSpec& spec, bool weighted) {
   return out;
 }
 
+namespace {
+
 // ---------------------------------------------------------------------------
 // Batch path (vectorized columnar pipeline)
 // ---------------------------------------------------------------------------
@@ -620,7 +624,7 @@ std::vector<uint32_t> SortPermutation(const std::vector<SortKeyCol>& keys,
 
 std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
   if (!stmt.limit) return std::nullopt;
-  if (*stmt.limit < 0) return std::nullopt;  // row path: cast never truncates
+  if (*stmt.limit < 0) return std::nullopt;  // row oracle: cast never truncates
   return static_cast<size_t>(*stmt.limit);
 }
 
@@ -696,7 +700,7 @@ std::optional<size_t> LimitOf(const sql::SelectStmt& stmt) {
 
 /// True if evaluating the expression can raise a runtime error
 /// (division is the only erroring scalar op). Guards LIMIT pushdown:
-/// the row path evaluates every selected row before truncating, so
+/// the row oracle evaluates every selected row before truncating, so
 /// the batch path may only skip rows whose evaluation cannot error.
 bool ContainsDiv(const BoundExpr& e) {
   if (e.kind == BoundExpr::Kind::kBinary &&
@@ -812,6 +816,46 @@ class GroupIdIndex {
 /// serially (first-seen order is part of the executor's contract).
 constexpr size_t kGroupHashBlock = 4096;
 
+/// Dense first-seen ids for `keys[0..n)`, every key below `card`:
+/// ids[i] numbers keys[i]'s value in order of first appearance, and
+/// first[g] is the position where id g first appears. A flat
+/// (direct-indexed) table serves a key space that is small both
+/// absolutely and relative to n, so a tiny selection over a huge
+/// dictionary does not zero-fill megabytes per query; the two-pass
+/// hash index serves the rest. Returns the index mode for the trace.
+const char* AssignFirstSeenIds(const uint64_t* keys, size_t n, uint64_t card,
+                               uint32_t* ids, std::vector<uint32_t>* first) {
+  constexpr uint64_t kDirectTableMax = uint64_t{1} << 20;
+  if (card <= kDirectTableMax && card <= std::max<uint64_t>(1024, 4 * n)) {
+    std::vector<int32_t> slot(card, -1);
+    for (size_t i = 0; i < n; ++i) {
+      int32_t& g = slot[keys[i]];
+      if (g < 0) {
+        g = static_cast<int32_t>(first->size());
+        first->push_back(static_cast<uint32_t>(i));
+      }
+      ids[i] = static_cast<uint32_t>(g);
+    }
+    return "direct";
+  }
+  // The SIMD kernel hashes a block of keys, then the probe pass
+  // assigns ids serially in selection order.
+  AlignedVector<uint64_t> hashes(kGroupHashBlock);
+  GroupIdIndex index;
+  for (size_t base = 0; base < n; base += kGroupHashBlock) {
+    const size_t m = std::min(kGroupHashBlock, n - base);
+    simd::ActiveKernels().hash_u64(keys + base, m, hashes.data());
+    for (size_t i = 0; i < m; ++i) {
+      bool inserted = false;
+      ids[base + i] = index.InsertOrGet(
+          keys[base + i], hashes[i], /*self_equal=*/true,
+          static_cast<uint32_t>(first->size()), &inserted);
+      if (inserted) first->push_back(static_cast<uint32_t>(base + i));
+    }
+  }
+  return "two_pass";
+}
+
 GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
   GroupKeyCol key;
   key.type = span.type;
@@ -834,11 +878,11 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
     }
     case DataType::kInt64:
     case DataType::kDouble: {
-      // Key identity goes through double, matching the row path's
+      // Key identity goes through double, matching the row oracle's
       // std::map<Value> comparator (Value compares all numerics as
       // doubles, merging int64 keys that collide beyond 2^53). The
       // decode table keeps the first-seen value, which is exactly the
-      // key the row path's map retains.
+      // key the row oracle's map retains.
       //
       // Two-pass build: gather + hash one block of keys with the SIMD
       // kernels, then probe serially in selection order.
@@ -883,7 +927,7 @@ GroupKeyCol MakeGroupKey(const ColumnSpan& span, SelectionSlice rows) {
 }
 
 /// Double view of a typed aggregate-argument batch, matching what the
-/// row path obtains via Value::ToDouble (its exact error on string
+/// row oracle obtains via Value::ToDouble (its exact error on string
 /// input included). kDouble aliases the batch payload directly;
 /// kInt64/kBool widen into `scratch`, which must outlive the view.
 [[nodiscard]] Result<const double*> BatchDoubles(const BatchVec& batch,
@@ -948,13 +992,11 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   }
 }
 
-/// Vectorized SELECT over a view restricted to `sel`. Returns nullopt
-/// when the plan must fall back to the row path (group-key code space
-/// overflowing 64-bit packing).
-[[nodiscard]] Result<std::optional<Table>> ExecuteSelectBatch(const TableView& view,
-                                                SelectionVector sel,
-                                                const sql::SelectStmt& stmt,
-                                                const ExecOptions& opts) {
+/// Vectorized SELECT over a view restricted to `sel`.
+[[nodiscard]] Result<Table> ExecuteSelectBatch(const TableView& view,
+                                 SelectionVector sel,
+                                 const sql::SelectStmt& stmt,
+                                 const ExecOptions& opts) {
   const Schema& schema = view.schema();
   const bool weighted = !opts.weight_column.empty();
   std::optional<size_t> weight_idx;
@@ -1122,7 +1164,7 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
         span.Note(std::string("sort=") + (topn ? "topn" : "full"));
       }
     }
-    return std::optional<Table>(std::move(out));
+    return out;
   }
 
   // --- Aggregation path ----------------------------------------------------
@@ -1161,84 +1203,50 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
 
   // Covers group-key building, accumulation, and emit; the phases
   // inside are recorded retroactively (AddTimed) so the early
-  // returns (bind errors, row-path fallback) need no unwind hooks.
+  // returns (bind errors) need no unwind hooks.
   trace::ScopedSpan agg_span(opts.trace, opts.trace_parent, "aggregate");
   uint64_t phase_t0 = opts.trace != nullptr ? opts.trace->NowUs() : 0;
 
   // --- Group ids: per-column dense codes packed into a uint64 key ----------
   std::vector<uint32_t> gid(n, 0);
-  std::vector<uint64_t> group_packed;
+  // Selection position of each group's first row; its key is decoded
+  // from the key-column codes there.
+  std::vector<uint32_t> group_first;
   std::vector<GroupKeyCol> key_cols;
   const char* idx_mode = "global";
   if (group_cols.empty()) {
     // Global aggregate: one group, even over zero rows.
-    group_packed.push_back(0);
+    group_first.push_back(0);
   } else {
     key_cols.reserve(group_cols.size());
-    // Guard the code-space product per multiply: each card is < 2^32,
-    // so checking after every step keeps the 128-bit product far from
-    // wrapping before the decline triggers.
-    unsigned __int128 code_space = 1;
-    bool overflow = false;
+    // Mixed-radix packing through the mul-add kernel. Before
+    // a multiply would take the code space past 2^62, the packed
+    // prefix is densified into first-seen ids; those, like every
+    // column code, stay below 2^32, so the product never wraps and
+    // any number of key columns packs into one uint64 key. Packing
+    // is injective either way, so the groups and their first-seen
+    // order do not depend on where densification happened.
+    const simd::KernelTable& k = simd::ActiveKernels();
+    AlignedVector<uint64_t> packed(n);  // zeros: the empty prefix
+    uint64_t code_space = 1;
     for (size_t c : group_cols) {
       key_cols.push_back(MakeGroupKey(view.column(c), sel.rows()));
-      code_space *= key_cols.back().card;
-      if (code_space > (static_cast<unsigned __int128>(1) << 62)) {
-        overflow = true;
-        break;
+      const GroupKeyCol& key = key_cols.back();
+      if (static_cast<unsigned __int128>(code_space) * key.card >
+          (static_cast<unsigned __int128>(1) << 62)) {
+        std::vector<uint32_t> prefix_first;
+        AssignFirstSeenIds(packed.data(), n, code_space, gid.data(),
+                           &prefix_first);
+        k.widen_u32_u64(gid.data(), n, packed.data());
+        code_space = std::max<uint64_t>(1, prefix_first.size());
       }
+      k.pack_mul_add(packed.data(), key.codes.data(), key.card, n);
+      code_space *= key.card;
     }
-    if (overflow) {
-      return std::optional<Table>();  // fall back to the row path
-    }
-    const uint64_t packed_card = static_cast<uint64_t>(code_space);
-    // Mixed-radix packing through the widen / mul-add kernels.
-    const simd::KernelTable& k = simd::ActiveKernels();
-    AlignedVector<uint64_t> packed(n);
-    k.widen_u32_u64(key_cols[0].codes.data(), n, packed.data());
-    for (size_t c = 1; c < key_cols.size(); ++c) {
-      k.pack_mul_add(packed.data(), key_cols[c].codes.data(),
-                     key_cols[c].card, n);
-    }
-    // Flat (direct-indexed) table when the packed code space is
-    // small — both absolutely and relative to the selection, so a
-    // tiny selection over a huge dictionary does not zero-fill
-    // megabytes per query. Open hashing otherwise. Group ids are
-    // first-seen order.
-    constexpr uint64_t kDirectTableMax = uint64_t{1} << 20;
-    if (packed_card <= kDirectTableMax &&
-        packed_card <= std::max<uint64_t>(1024, 4 * n)) {
-      idx_mode = "direct";
-      std::vector<int32_t> slot(packed_card, -1);
-      for (size_t i = 0; i < n; ++i) {
-        int32_t& g = slot[packed[i]];
-        if (g < 0) {
-          g = static_cast<int32_t>(group_packed.size());
-          group_packed.push_back(packed[i]);
-        }
-        gid[i] = static_cast<uint32_t>(g);
-      }
-    } else {
-      // Two-pass open addressing: the SIMD kernel hashes a block of
-      // packed keys, then the probe pass assigns first-seen group ids
-      // serially in selection order.
-      idx_mode = "two_pass";
-      AlignedVector<uint64_t> hashes(kGroupHashBlock);
-      GroupIdIndex index;
-      for (size_t base = 0; base < n; base += kGroupHashBlock) {
-        const size_t m = std::min(kGroupHashBlock, n - base);
-        k.hash_u64(packed.data() + base, m, hashes.data());
-        for (size_t i = 0; i < m; ++i) {
-          bool inserted = false;
-          gid[base + i] = index.InsertOrGet(
-              packed[base + i], hashes[i], /*self_equal=*/true,
-              static_cast<uint32_t>(group_packed.size()), &inserted);
-          if (inserted) group_packed.push_back(packed[base + i]);
-        }
-      }
-    }
+    idx_mode = AssignFirstSeenIds(packed.data(), n, code_space, gid.data(),
+                                  &group_first);
   }
-  const size_t num_groups = group_packed.size();
+  const size_t num_groups = group_first.size();
   if (opts.trace != nullptr) {
     opts.trace->AddTimed(agg_span.id(), "group_keys", phase_t0,
                          opts.trace->NowUs());
@@ -1251,7 +1259,7 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   // --- Accumulate: tight loops over the selection --------------------------
   //
   // Floating-point sums reduce serially in selection order, the order
-  // the row path uses, so both paths round identically.
+  // the row oracle uses, so both round identically.
   std::vector<double> w;
   if (weighted) {
     const ColumnSpan& wspan = view.column(*weight_idx);
@@ -1336,13 +1344,10 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   for (size_t g = 0; g < num_groups; ++g) {
     std::vector<Value> key;
     if (!key_cols.empty()) {
-      key.resize(key_cols.size());
-      uint64_t packed = group_packed[g];
-      for (size_t k = key_cols.size(); k-- > 1;) {
-        key[k] = key_cols[k].Decode(packed % key_cols[k].card);
-        packed /= key_cols[k].card;
+      key.reserve(key_cols.size());
+      for (const GroupKeyCol& col : key_cols) {
+        key.push_back(col.Decode(col.codes[group_first[g]]));
       }
-      key[0] = key_cols[0].Decode(packed);
     }
     std::vector<AggAccum> accs(num_specs);
     for (size_t a = 0; a < num_specs; ++a) {
@@ -1360,7 +1365,7 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
     }
     sorted_groups.emplace_back(std::move(key), std::move(accs));
   }
-  // The row path's std::map emits groups in sorted key order.
+  // The row oracle's std::map emits groups in sorted key order.
   std::sort(sorted_groups.begin(), sorted_groups.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
@@ -1372,7 +1377,7 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
     opts.trace->AddTimed(agg_span.id(), "emit", phase_t0,
                          opts.trace->NowUs());
   }
-  return std::optional<Table>(std::move(out));
+  return out;
 }
 
 }  // namespace
@@ -1392,82 +1397,23 @@ bool BatchLess(const BatchVec& batch, size_t a, size_t b) {
   return total;
 }
 
-namespace {
-
-/// Roll the scan/produce tallies of one SELECT into the trace's
-/// resource counters. Callers keep their original `return` statements
-/// (preserving RVO/move elision — an extra Result<Table> move showed
-/// up on the batch bench) and tally in place just before returning;
-/// with tracing off this is a single cold branch.
-void CountScanProduce(const ExecOptions& opts, uint64_t rows_scanned,
-                      const Result<Table>& result) {
-  if (opts.trace == nullptr) return;
-  trace::CountRowsScanned(opts.trace, rows_scanned);
-  if (result.ok()) {
-    trace::CountRowsProduced(opts.trace, result->num_rows());
-  }
-}
-
-}  // namespace
-
 [[nodiscard]] Result<Table> ExecuteSelect(const Table& source, const sql::SelectStmt& stmt,
                             const ExecOptions& opts) {
-  const uint64_t rows_in = source.num_rows();
-  if (opts.use_row_path) {
-    trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-    span.Note("agg=per_row");
-    Result<Table> result = ExecuteSelectRow(source, stmt, opts);
-    CountScanProduce(opts, rows_in, result);
-    return result;
-  }
-  TableView view(source);
-  MOSAIC_ASSIGN_OR_RETURN(
-      std::optional<Table> batched,
-      ExecuteSelectBatch(view, SelectionVector::All(source.num_rows()), stmt,
-                         opts));
-  if (batched) {
-    if (opts.trace != nullptr) {
-      trace::CountRowsScanned(opts.trace, rows_in);
-      trace::CountRowsProduced(opts.trace, batched->num_rows());
-    }
-    return std::move(*batched);
-  }
-  trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-  span.Note("batch path declined");
-  Result<Table> result = ExecuteSelectRow(source, stmt, opts);
-  CountScanProduce(opts, rows_in, result);
-  return result;
+  return ExecuteSelect(TableView(source),
+                       SelectionVector::All(source.num_rows()), stmt, opts);
 }
 
 [[nodiscard]] Result<Table> ExecuteSelect(const TableView& view, SelectionVector sel,
                             const sql::SelectStmt& stmt,
                             const ExecOptions& opts) {
   const uint64_t rows_in = sel.size();
-  if (!opts.use_row_path) {
-    // The batch planner only declines grouped plans (group-key code
-    // spaces overflowing 64-bit packing), so the original selection
-    // is kept for the fallback only when GROUP BY is present.
-    SelectionVector backup;
-    if (!stmt.group_by.empty()) backup = sel;
-    MOSAIC_ASSIGN_OR_RETURN(
-        std::optional<Table> batched,
-        ExecuteSelectBatch(view, std::move(sel), stmt, opts));
-    if (batched) {
-      if (opts.trace != nullptr) {
-        trace::CountRowsScanned(opts.trace, rows_in);
-        trace::CountRowsProduced(opts.trace, batched->num_rows());
-      }
-      return std::move(*batched);
-    }
-    sel = std::move(backup);
+  MOSAIC_ASSIGN_OR_RETURN(Table out,
+                          ExecuteSelectBatch(view, std::move(sel), stmt, opts));
+  if (opts.trace != nullptr) {
+    trace::CountRowsScanned(opts.trace, rows_in);
+    trace::CountRowsProduced(opts.trace, out.num_rows());
   }
-  // Row-path oracle (or batch fallback): materialize the selected
-  // rows and run the legacy interpreter.
-  trace::ScopedSpan span(opts.trace, opts.trace_parent, "row_exec");
-  Table materialized = view.Materialize(sel);
-  Result<Table> result = ExecuteSelectRow(materialized, stmt, opts);
-  CountScanProduce(opts, rows_in, result);
-  return result;
+  return out;
 }
 
 }  // namespace exec

@@ -14,20 +14,20 @@
 //
 // The engine-managed weight column is hidden from `SELECT *`.
 //
-// Two execution paths produce bit-identical results:
+// One engine path answers every SELECT: a vectorized columnar
+// pipeline over TableView + SelectionVector. WHERE predicates refine
+// selection vectors in typed kernels (dictionary-code compares for
+// strings), GROUP BY is a flat hash aggregation keyed on packed
+// per-column group codes (densified when the code space outgrows 64
+// bits, so every plan runs here), aggregates accumulate over selected
+// spans in tight loops, and ORDER BY sorts precomputed typed keys
+// (partial_sort when LIMIT is present).
 //
-//   batch (default) — vectorized columnar pipeline over TableView +
-//     SelectionVector: WHERE predicates refine selection vectors in
-//     typed kernels (dictionary-code compares for strings), GROUP BY
-//     is a flat hash aggregation keyed on packed per-column group
-//     codes, aggregates accumulate over selected spans in tight
-//     loops, and ORDER BY sorts precomputed typed keys (partial_sort
-//     when LIMIT is present).
-//   row (parity oracle) — the original Value-at-a-time interpreter,
-//     kept behind ExecOptions::use_row_path for differential testing
-//     (tests/test_exec_parity.cc, tests/test_sql_fuzz.cc) and as the
-//     fallback for the rare plans the batch path declines (e.g.
-//     group-key code spaces that overflow 64-bit packing).
+// ExecuteSelectRowOracle is the original Value-at-a-time interpreter,
+// kept only as a test oracle: the differential tests
+// (tests/test_exec_parity.cc, tests/test_sql_fuzz.cc) and
+// bench/bench_executor.cpp compare the engine against it bit for bit.
+// No engine code calls it.
 //
 // Thread-safety contract: every function here is a pure function of
 // its inputs — no globals, no caches — so concurrent calls over
@@ -52,10 +52,6 @@ struct ExecOptions {
   /// Name of the weight column in the source table; empty = every
   /// tuple has weight 1 (plain SQL).
   std::string weight_column;
-  /// Run the legacy row-at-a-time interpreter instead of the batch
-  /// pipeline. Results are bit-identical; the row path exists as a
-  /// parity oracle and fallback.
-  bool use_row_path = false;
   /// Per-query trace to record execution spans (filter, aggregate,
   /// sort, materialize) into; null = tracing off,
   /// and the instrumented paths cost two branches and no clock read.
@@ -80,6 +76,13 @@ struct ExecOptions {
 [[nodiscard]] Result<Table> ExecuteSelect(const TableView& view, SelectionVector sel,
                             const sql::SelectStmt& stmt,
                             const ExecOptions& opts = {});
+
+/// Test oracle: run `stmt` through the row-at-a-time interpreter.
+/// Bit-identical to ExecuteSelect by contract; slow, and never used by
+/// the engine. Ignores the trace fields of `opts`.
+[[nodiscard]] Result<Table> ExecuteSelectRowOracle(const Table& source,
+                                     const sql::SelectStmt& stmt,
+                                     const ExecOptions& opts = {});
 
 /// Total weight of the table (sum of the weight column, or row count
 /// when `weight_column` is empty).

@@ -202,11 +202,11 @@ Matrix SoftmaxBlock::Infer(const Matrix& x) const {
     }
     double denom = 0.0;
     for (size_t j = start_; j < start_ + width_; ++j) {
-      denom += std::exp(x.at(i, j) - max_v);
+      const double e = std::exp(x.at(i, j) - max_v);
+      y.at(i, j) = e;
+      denom += e;
     }
-    for (size_t j = start_; j < start_ + width_; ++j) {
-      y.at(i, j) = std::exp(x.at(i, j) - max_v) / denom;
-    }
+    for (size_t j = start_; j < start_ + width_; ++j) y.at(i, j) /= denom;
   }
   return y;
 }

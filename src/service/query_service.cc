@@ -86,7 +86,6 @@ QueryService::QueryService(ServiceOptions options)
       request_pool_(options.num_request_threads),
       result_cache_(options.result_cache_capacity) {
   db_.set_model_cache_capacity(options.model_cache_capacity);
-  if (options.force_row_exec) db_.set_force_row_exec(true);
   if (options.num_generation_threads > 0) {
     generation_pool_ =
         std::make_unique<ThreadPool>(options.num_generation_threads);

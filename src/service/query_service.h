@@ -16,6 +16,8 @@
 //     futures can never deadlock the pool serving it.
 //   - Parallelism is per request plus OPEN generation: each statement
 //     runs single-threaded on one request worker.
+//   - Every SELECT runs on the Database's one executor path
+//     (exec/executor.h).
 //
 // Caching
 //   - Model cache: the Database's bounded LRU of trained generators
@@ -63,10 +65,6 @@ struct ServiceOptions {
   size_t result_cache_capacity = 256;
   /// Trained-generator cache bound, applied to the owned Database.
   size_t model_cache_capacity = 16;
-  /// Serve queries through the legacy row-at-a-time executor instead
-  /// of the vectorized batch path (bit-identical results; parity
-  /// oracle / escape hatch). Result cache keys are unaffected.
-  bool force_row_exec = false;
   /// Trace every statement (parse, cache, execute, per-phase executor
   /// spans). Results are bit-identical traced or not; the cost is the
   /// span bookkeeping. Also enabled by MOSAIC_TRACE=1. EXPLAIN

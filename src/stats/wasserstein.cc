@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace mosaic {
 namespace stats {
@@ -84,14 +85,35 @@ struct Atom {
     return Status::InvalidArgument(
         "W2 matched form requires equal-size non-empty samples");
   }
-  std::sort(xs.begin(), xs.end());
-  std::sort(ys.begin(), ys.end());
-  double acc = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    double d = xs[i] - ys[i];
-    acc += d * d;
+  std::vector<double> grad(xs.size(), 0.0);
+  return MatchedW2Squared(xs, &ys, 1.0, &grad);
+}
+
+/// xs is sorted as {value, index} pairs under a value-only comparator:
+/// std::sort then makes exactly the comparisons and moves it makes on
+/// an index array compared by value, so ties keep index-sort order and
+/// M-SWG training stays bit-identical to that formulation. ys needs no
+/// indices and is sorted in place as plain values.
+double MatchedW2Squared(const std::vector<double>& xs,
+                        std::vector<double>* ys, double coef,
+                        std::vector<double>* grad_x) {
+  size_t n = xs.size();
+  std::vector<std::pair<double, size_t>> x_sorted(n);
+  for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
+  std::sort(x_sorted.begin(), x_sorted.end(),
+            [](const std::pair<double, size_t>& a,
+               const std::pair<double, size_t>& b) {
+              return a.first < b.first;
+            });
+  std::sort(ys->begin(), ys->end());
+  double loss = 0.0;
+  double inv_n = 1.0 / static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    double d = x_sorted[i].first - (*ys)[i];
+    loss += d * d;
+    (*grad_x)[x_sorted[i].second] += coef * 2.0 * d * inv_n;
   }
-  return acc / static_cast<double>(xs.size());
+  return coef * loss * inv_n;
 }
 
 [[nodiscard]] Result<std::vector<std::pair<size_t, size_t>>> SortedMatching(

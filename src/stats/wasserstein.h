@@ -40,6 +40,14 @@ namespace stats {
 [[nodiscard]] Result<double> Wasserstein2SquaredMatched(std::vector<double> xs,
                                           std::vector<double> ys);
 
+/// The kernel behind Wasserstein2SquaredMatched, and the M-SWG's
+/// per-step loss: coef * W2² between equal-size, non-empty scalar
+/// batches under the sorted coupling, accumulating d(loss)/d(x_i)
+/// into (*grad_x)[i]. Sorts *ys in place; does not validate sizes.
+double MatchedW2Squared(const std::vector<double>& xs,
+                        std::vector<double>* ys, double coef,
+                        std::vector<double>* grad_x);
+
 /// Sorted matching permutation: pairs[i] = (index into xs, index into
 /// ys) such that the i-th smallest x is matched to the i-th smallest
 /// y. Requires xs.size() == ys.size(). Exposed so the NN training

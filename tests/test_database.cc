@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle_util.h"
 #include "storage/csv.h"
 
 namespace mosaic {
@@ -313,48 +314,90 @@ TEST(Database, DropIfExistsTolerant) {
   EXPECT_FALSE(db.Execute("DROP TABLE nope").ok());
 }
 
-TEST_F(TinyWorld, RowAndBatchExecutionBitIdentical) {
-  // End-to-end parity oracle: the same database answers every
-  // visibility level identically through the legacy row path
-  // (materializing WithWeights/Filter plumbing) and the zero-copy
-  // batch path.
-  const std::vector<std::string> queries = {
-      "SELECT * FROM RedSample",
-      "SELECT color, size, weight FROM RedSample ORDER BY size LIMIT 3",
-      "SELECT CLOSED color, COUNT(*) AS c FROM Things GROUP BY color",
-      "SELECT SEMI-OPEN size, COUNT(*) AS c FROM Things GROUP BY size "
-      "ORDER BY size",
-      "SELECT SEMI-OPEN COUNT(*) AS c FROM Things WHERE size = 'S'",
-      "SELECT SEMI-OPEN AVG(weight) AS aw FROM RedSample",  // rejected
-      "SELECT AVG(weight) AS aw, MIN(size) AS ms FROM RedSample",
-      "UPDATE RedSample SET weight = weight * 2 WHERE size = 'S'",
-      "SELECT weight FROM RedSample ORDER BY weight DESC LIMIT 4",
-  };
-  for (const auto& sql : queries) {
-    db_.set_force_row_exec(true);
-    auto row_res = db_.Execute(sql);
-    db_.set_force_row_exec(false);
-    auto batch_res = db_.Execute(sql);
-    ASSERT_EQ(row_res.ok(), batch_res.ok())
-        << sql << "\n row: " << row_res.status().ToString()
-        << "\n batch: " << batch_res.status().ToString();
-    if (!row_res.ok()) continue;
-    ASSERT_TRUE(row_res->schema() == batch_res->schema()) << sql;
-    ASSERT_EQ(row_res->num_rows(), batch_res->num_rows()) << sql;
-    for (size_t r = 0; r < row_res->num_rows(); ++r) {
-      for (size_t c = 0; c < row_res->num_columns(); ++c) {
-        Value a = row_res->GetValue(r, c);
-        Value b = batch_res->GetValue(r, c);
-        ASSERT_EQ(a.type(), b.type()) << sql;
-        ASSERT_TRUE(a == b) << sql << " at (" << r << "," << c
-                            << "): " << a.ToString() << " vs "
-                            << b.ToString();
-        if (a.type() == DataType::kDouble) {
-          ASSERT_EQ(a.AsDouble(), b.AsDouble()) << sql;  // bit-exact
-        }
+/// Bit-identity of two result tables (doubles compared exactly).
+void ExpectBitIdentical(const Table& want, const Table& got,
+                        const std::string& sql) {
+  ASSERT_TRUE(want.schema() == got.schema()) << sql;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << sql;
+  for (size_t r = 0; r < want.num_rows(); ++r) {
+    for (size_t c = 0; c < want.num_columns(); ++c) {
+      Value a = want.GetValue(r, c);
+      Value b = got.GetValue(r, c);
+      ASSERT_EQ(a.type(), b.type()) << sql;
+      ASSERT_TRUE(a == b) << sql << " at (" << r << "," << c
+                          << "): " << a.ToString() << " vs "
+                          << b.ToString();
+      if (a.type() == DataType::kDouble) {
+        ASSERT_EQ(a.AsDouble(), b.AsDouble()) << sql;  // bit-exact
       }
     }
   }
+}
+
+TEST_F(TinyWorld, AnswersMatchOracleOverMaterializedRelations) {
+  // End-to-end parity: every visibility level, the direct sample and
+  // an auxiliary table answer exactly what the row-at-a-time oracle
+  // answers over the relation the test materializes itself
+  // (tests/oracle_util.h), and a weight UPDATE publishes exactly the
+  // expected next epoch.
+  ASSERT_TRUE(db_.Execute("CREATE POPULATION SmallThings AS "
+                          "(SELECT * FROM Things WHERE size = 'S')")
+                  .ok());
+  // A cheap deterministic OPEN budget; one generated sample per query.
+  OpenOptions* open = db_.mutable_open_options();
+  open->mswg.epochs = 2;
+  open->mswg.steps_per_epoch = 4;
+  open->mswg.batch_size = 32;
+  open->generated_rows = 64;
+  const std::vector<std::string> queries = {
+      "SELECT * FROM RedSample",
+      "SELECT color, size, weight FROM RedSample ORDER BY size LIMIT 3",
+      "SELECT color, SUM(cnt) AS total FROM ColorReport GROUP BY color",
+      "SELECT CLOSED color, COUNT(*) AS c FROM Things GROUP BY color",
+      "SELECT CLOSED size, COUNT(*) AS c FROM SmallThings GROUP BY size",
+      "SELECT SEMI-OPEN size, COUNT(*) AS c FROM Things GROUP BY size "
+      "ORDER BY size",
+      "SELECT SEMI-OPEN COUNT(*) AS c FROM Things WHERE size = 'S'",
+      "SELECT SEMI-OPEN COUNT(*) AS c FROM SmallThings",
+      "SELECT AVG(weight) AS aw, MIN(size) AS ms FROM RedSample",
+      "SELECT OPEN color, size, COUNT(*) AS c FROM Things "
+      "GROUP BY color, size ORDER BY color, size",
+      "SELECT OPEN COUNT(*) AS c FROM SmallThings",
+  };
+  for (const auto& sql : queries) {
+    auto got = db_.Execute(sql);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    auto want = testutil::OracleSelect(&db_, sql);
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    ExpectBitIdentical(*want, *got, sql);
+  }
+  // SEMI-OPEN and OPEN do not apply to a sample.
+  EXPECT_EQ(db_.Execute("SELECT SEMI-OPEN AVG(weight) AS aw FROM RedSample")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // UPDATE ... SET weight: the next epoch doubles exactly the S rows.
+  SampleInfo* sample = *db_.catalog()->GetSample("RedSample");
+  const std::vector<double> before = sample->weights.Pin()->weights;
+  ASSERT_TRUE(
+      db_.Execute("UPDATE RedSample SET weight = weight * 2 WHERE size = 'S'")
+          .ok());
+  const std::vector<double> after = sample->weights.Pin()->weights;
+  ASSERT_EQ(after.size(), before.size());
+  const size_t size_col = *sample->data.schema().FindColumn("size");
+  for (size_t r = 0; r < before.size(); ++r) {
+    const bool small = sample->data.GetValue(r, size_col).AsString() == "S";
+    EXPECT_EQ(after[r], small ? before[r] * 2 : before[r]) << "row " << r;
+  }
+  // Reads after the update see the new epoch.
+  const std::string sql =
+      "SELECT weight FROM RedSample ORDER BY weight DESC LIMIT 4";
+  auto got = db_.Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = testutil::OracleSelect(&db_, sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectBitIdentical(*want, *got, sql);
 }
 
 }  // namespace

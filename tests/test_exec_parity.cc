@@ -1,8 +1,9 @@
-// Randomized row-vs-batch parity: the vectorized batch executor must
-// be bit-identical to the legacy row-at-a-time interpreter (its
-// parity oracle, kept behind ExecOptions::use_row_path) across
-// generated schemas, tables, and SELECTs combining WHERE, GROUP BY,
-// HAVING, ORDER BY, and LIMIT — weighted and unweighted.
+// Randomized engine-vs-oracle parity: the vectorized batch executor
+// must be bit-identical to the row-at-a-time interpreter
+// (exec::ExecuteSelectRowOracle, kept only as this test oracle)
+// across generated schemas, tables, and SELECTs combining WHERE,
+// GROUP BY, HAVING, ORDER BY, and LIMIT — weighted and unweighted —
+// and over group keys whose packed code space outgrows 64 bits.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/table.h"
@@ -322,14 +324,10 @@ TEST_P(ExecParity, RandomQueriesBitIdentical) {
     auto parsed = sql::ParseStatement(sql);
     ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
     const auto& stmt = parsed->As<sql::SelectStmt>();
-    ExecOptions row_opts, batch_opts;
-    if (rel.has_weight) {
-      row_opts.weight_column = "w";
-      batch_opts.weight_column = "w";
-    }
-    row_opts.use_row_path = true;
-    auto row_res = ExecuteSelect(rel.table, stmt, row_opts);
-    auto batch_res = ExecuteSelect(rel.table, stmt, batch_opts);
+    ExecOptions opts;
+    if (rel.has_weight) opts.weight_column = "w";
+    auto row_res = ExecuteSelectRowOracle(rel.table, stmt, opts);
+    auto batch_res = ExecuteSelect(rel.table, stmt, opts);
     ASSERT_EQ(row_res.ok(), batch_res.ok())
         << sql << "\n row: " << row_res.status().ToString()
         << "\n batch: " << batch_res.status().ToString();
@@ -369,15 +367,104 @@ TEST(ExecParity, WeightedAggregateRewrite) {
       "SELECT g, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM t "
       "WHERE x BETWEEN 5 AND 45 GROUP BY g ORDER BY g");
   ASSERT_TRUE(stmt.ok());
-  ExecOptions row_opts, batch_opts;
-  row_opts.weight_column = "w";
-  row_opts.use_row_path = true;
-  batch_opts.weight_column = "w";
-  auto row_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), row_opts);
-  auto batch_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), batch_opts);
+  ExecOptions opts;
+  opts.weight_column = "w";
+  auto row_res = ExecuteSelectRowOracle(t, stmt->As<sql::SelectStmt>(), opts);
+  auto batch_res = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
   ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
   ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
   ExpectTablesIdentical(*row_res, *batch_res, "weighted rewrite");
+}
+
+// GROUP BY over 8 columns of 256 distinct values each: the packed
+// group-key code space is 256^8 = 2^64, past what one uint64 key can
+// hold, so the engine densifies the packed prefix mid-way. The answer
+// must still be bit-identical to the oracle, with no row-at-a-time
+// span in the trace.
+TEST(ExecParity, WideGroupKeyCodeSpaceStaysOnTheBatchPath) {
+  constexpr int kKeyCols = 8;
+  constexpr int kDistinct = 256;
+  constexpr int kRows = 2048;
+  Schema s;
+  for (int k = 0; k < kKeyCols; ++k) {
+    // Strings, int64 and double keys, so every key kind is densified.
+    const DataType type = k < 4    ? DataType::kString
+                          : k < 6 ? DataType::kInt64
+                                  : DataType::kDouble;
+    ASSERT_TRUE(s.AddColumn({"k" + std::to_string(k), type}).ok());
+  }
+  ASSERT_TRUE(s.AddColumn({"x", DataType::kInt64}).ok());
+  ASSERT_TRUE(s.AddColumn({"w", DataType::kDouble}).ok());
+  Table t(s);
+  Rng rng(2026);
+  std::vector<std::vector<int>> keys;
+  for (int r = 0; r < kRows; ++r) {
+    std::vector<int> key(kKeyCols);
+    for (int k = 0; k < kKeyCols; ++k) {
+      // The first 256 rows walk every value of every column (an odd
+      // stride permutes 0..255); later rows either repeat an earlier
+      // key, so groups have several rows, or draw a fresh one.
+      if (r < kDistinct) {
+        key[k] = (r * (2 * k + 1) + k) % kDistinct;
+      } else {
+        key[k] = static_cast<int>(rng.UniformInt(uint64_t{kDistinct}));
+      }
+    }
+    if (r >= kDistinct && rng.Bernoulli(0.5)) {
+      key = keys[rng.UniformInt(uint64_t{keys.size()})];
+    }
+    keys.push_back(key);
+    std::vector<Value> row;
+    for (int k = 0; k < kKeyCols; ++k) {
+      if (k < 4) {
+        row.emplace_back(StrFormat("v%03d", key[k]));
+      } else if (k < 6) {
+        row.emplace_back(int64_t{key[k]} * 1000 - 7);
+      } else {
+        row.emplace_back(key[k] * 0.25);
+      }
+    }
+    row.emplace_back(rng.UniformInt(int64_t{-50}, int64_t{50}));
+    row.emplace_back(0.1 * (1 + rng.UniformInt(uint64_t{30})));
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+
+  const std::string group_by = "k0, k1, k2, k3, k4, k5, k6, k7";
+  const std::vector<std::string> queries = {
+      "SELECT " + group_by + ", COUNT(*) AS c, SUM(x) AS sx, AVG(x) AS ax, "
+      "MIN(x) AS lo, MAX(k3) AS hi FROM t GROUP BY " + group_by +
+          " HAVING COUNT(*) >= 2 ORDER BY sx DESC, k0 LIMIT 40",
+      "SELECT " + group_by + ", SUM(x) AS sx FROM t WHERE x > -40 GROUP BY " +
+          group_by + " ORDER BY k7, k6 LIMIT 100",
+      "SELECT k5, " + group_by + ", COUNT(*) AS c FROM t GROUP BY " +
+          group_by + " HAVING SUM(x) > 0",
+  };
+  for (const bool weighted : {false, true}) {
+    ExecOptions opts;
+    if (weighted) opts.weight_column = "w";
+    for (const std::string& sql : queries) {
+      auto parsed = sql::ParseStatement(sql);
+      ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+      const auto& stmt = parsed->As<sql::SelectStmt>();
+      auto want = ExecuteSelectRowOracle(t, stmt, opts);
+      ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+      ASSERT_GT(want->num_rows(), 0u) << sql;
+
+      trace::QueryTrace query_trace;
+      ExecOptions traced = opts;
+      traced.trace = &query_trace;
+      auto got = ExecuteSelect(t, stmt, traced);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      ExpectTablesIdentical(*want, *got, sql);
+
+      bool aggregated = false;
+      for (const trace::Span& span : query_trace.Spans()) {
+        EXPECT_NE(span.name, "row_exec") << sql;
+        if (span.name == "aggregate") aggregated = true;
+      }
+      EXPECT_TRUE(aggregated) << sql;
+    }
+  }
 }
 
 }  // namespace

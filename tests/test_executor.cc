@@ -287,7 +287,7 @@ TEST(Executor, OrderByLimitIsTopNSelection) {
   // ORDER BY + LIMIT runs top-N selection (partial_sort) in the
   // batch path rather than a full sort + truncate; it must still
   // return exactly the stable-sorted prefix, with ties in original
-  // row order — on both paths.
+  // row order — on the engine path and the row oracle.
   Schema s;
   ASSERT_TRUE(s.AddColumn({"k", DataType::kInt64}).ok());
   ASSERT_TRUE(s.AddColumn({"id", DataType::kInt64}).ok());
@@ -297,12 +297,12 @@ TEST(Executor, OrderByLimitIsTopNSelection) {
     ASSERT_TRUE(t.AppendRow({Value(i % 5), Value(i)}).ok());
   }
   for (bool row_path : {false, true}) {
-    ExecOptions opts;
-    opts.use_row_path = row_path;
     auto stmt = sql::ParseStatement(
         "SELECT k, id FROM t ORDER BY k LIMIT 7");
     ASSERT_TRUE(stmt.ok());
-    auto r = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
+    const auto& select = stmt->As<sql::SelectStmt>();
+    auto r = row_path ? ExecuteSelectRowOracle(t, select)
+                      : ExecuteSelect(t, select);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->num_rows(), 7u);
     // k == 0 rows are ids 0, 5, 10, ... in original order.
@@ -343,13 +343,14 @@ TEST(Executor, GroupByOrderByLimit) {
   Table t = FlightsMini();
   for (bool row_path : {false, true}) {
     ExecOptions opts;
-    opts.use_row_path = row_path;
     opts.weight_column = "weight";
     auto stmt = sql::ParseStatement(
         "SELECT carrier, COUNT(*) AS c FROM t GROUP BY carrier "
         "ORDER BY c DESC LIMIT 2");
     ASSERT_TRUE(stmt.ok());
-    auto r = ExecuteSelect(t, stmt->As<sql::SelectStmt>(), opts);
+    const auto& select = stmt->As<sql::SelectStmt>();
+    auto r = row_path ? ExecuteSelectRowOracle(t, select, opts)
+                      : ExecuteSelect(t, select, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->num_rows(), 2u);
     EXPECT_EQ(r->GetValue(0, 0).AsString(), "US");  // weight 10

@@ -1,17 +1,18 @@
-// Cross-path SQL parity fuzzer: randomized queries must be
-// bit-identical across the two execution paths — row (legacy
-// interpreter oracle) and batch (vectorized) — and with tracing on
-// or off. Two layers:
+// SQL parity fuzzer: randomized queries must be bit-identical between
+// the engine (the vectorized batch executor) and the row-at-a-time
+// test oracle (exec::ExecuteSelectRowOracle), and with tracing on or
+// off. Two layers:
 //
 //   - executor-level: random schemas/tables/SELECTs straight through
 //     exec::ExecuteSelect, weighted and unweighted;
 //   - engine-level: a fixed Mosaic world queried at every visibility
 //     level (CLOSED / SEMI-OPEN / OPEN, plus direct sample and
-//     auxiliary-table access) through Database instances that differ
-//     only in their execution path or tracing.
+//     auxiliary-table access) through a Database, traced and
+//     untraced, against the oracle run over the relation the test
+//     materializes itself (tests/oracle_util.h).
 //
 // Queries that fail must fail identically (same status string) on
-// every path.
+// every side.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/string_util.h"
 #include "core/database.h"
 #include "exec/executor.h"
+#include "oracle_util.h"
 #include "sql/parser.h"
 #include "storage/table.h"
 
@@ -325,14 +327,9 @@ bool CheckExecutorParity(const Table& table, const std::string& sql,
   if (!parsed.ok()) return false;
   const auto& stmt = parsed->As<sql::SelectStmt>();
 
-  ExecOptions row_opts;
-  row_opts.use_row_path = true;
   ExecOptions batch_opts;
-  if (weighted) {
-    row_opts.weight_column = "w";
-    batch_opts.weight_column = "w";
-  }
-  auto row_res = ExecuteSelect(table, stmt, row_opts);
+  if (weighted) batch_opts.weight_column = "w";
+  auto row_res = ExecuteSelectRowOracle(table, stmt, batch_opts);
   auto batch_res = ExecuteSelect(table, stmt, batch_opts);
   EXPECT_EQ(row_res.ok(), batch_res.ok())
       << sql << "\n row: " << row_res.status().ToString()
@@ -394,8 +391,9 @@ TEST(SqlFuzz, ExecutorPathsBitIdentical) {
 
 /// A small open-world setup: GP with two categorical attributes and
 /// one numeric, color/size marginals, and a deterministic
-/// pseudo-random sample. Identical across the three engines under
-/// test.
+/// pseudo-random sample. Identical across the two engines under
+/// test. One generated sample per OPEN query, so the oracle's
+/// relation is a single GenerateOpenWorldTable call.
 void SetUpFuzzWorld(core::Database* db) {
   auto ok = [db](const std::string& sql) {
     auto r = db->Execute(sql);
@@ -431,7 +429,7 @@ void SetUpFuzzWorld(core::Database* db) {
   open->mswg.hidden_layers = 1;
   open->mswg.hidden_nodes = 8;
   open->generated_rows = 48;
-  open->num_generated_samples = 2;
+  open->num_generated_samples = 1;
 }
 
 /// Random query against the fuzz world. `kind` 0 = population with a
@@ -576,15 +574,12 @@ std::string RandomWorldQuery(Rng* rng, int* open_queries) {
   return sql;
 }
 
-TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
-  core::Database row_db;
+TEST(SqlFuzz, VisibilityLevelsMatchOracleOverMaterializedRelations) {
   core::Database batch_db;
   core::Database traced_db;
-  SetUpFuzzWorld(&row_db);
   SetUpFuzzWorld(&batch_db);
   SetUpFuzzWorld(&traced_db);
   if (::testing::Test::HasFatalFailure()) return;
-  row_db.set_force_row_exec(true);
 
   Rng rng(77);
   int open_queries = 0;
@@ -593,7 +588,6 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
   for (int q = 0; q < kQueries; ++q) {
     const std::string sql = RandomWorldQuery(&rng, &open_queries);
 
-    auto row_res = row_db.Execute(sql);
     auto batch_res = batch_db.Execute(sql);
     // Trace-enabled leg: the engine with a live QueryTrace collecting
     // spans (weight pins, training, executor phases) must stay
@@ -612,16 +606,17 @@ TEST(SqlFuzz, VisibilityLevelsBitIdenticalAcrossPaths) {
       ExpectTablesIdentical(*batch_res, *traced_res, "traced: " + sql);
       if (::testing::Test::HasFatalFailure()) return;
     }
-    ASSERT_EQ(row_res.ok(), batch_res.ok())
-        << sql << "\n row: " << row_res.status().ToString()
+    auto oracle_res = testutil::OracleSelect(&batch_db, sql);
+    ASSERT_EQ(oracle_res.ok(), batch_res.ok())
+        << sql << "\n oracle: " << oracle_res.status().ToString()
         << "\n batch: " << batch_res.status().ToString();
-    if (!row_res.ok()) {
-      EXPECT_EQ(row_res.status().ToString(), batch_res.status().ToString())
+    if (!oracle_res.ok()) {
+      EXPECT_EQ(oracle_res.status().ToString(), batch_res.status().ToString())
           << sql;
       continue;
     }
     ++oks;
-    ExpectTablesIdentical(*row_res, *batch_res, "batch: " + sql);
+    ExpectTablesIdentical(*oracle_res, *batch_res, "batch: " + sql);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(open_queries, 0);

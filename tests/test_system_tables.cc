@@ -1,5 +1,5 @@
 // Queryable system tables (`system.*`): resolution in the planner,
-// row/batch execution parity over a frozen query-log ring, service
+// engine-vs-oracle parity over a frozen query-log ring, service
 // integration (every statement leaves a record), and the bounded
 // ring's wraparound semantics.
 #include "core/system_tables.h"
@@ -14,7 +14,9 @@
 
 #include "common/query_log.h"
 #include "core/database.h"
+#include "exec/executor.h"
 #include "service/query_service.h"
+#include "sql/parser.h"
 
 namespace mosaic {
 namespace {
@@ -156,11 +158,13 @@ TEST(SystemTables, StubTablesResolveEmptyWithoutAService) {
 }
 
 // ---------------------------------------------------------------------------
-// Row/batch execution parity over a frozen ring
+// Engine-vs-oracle parity over a frozen ring
 // ---------------------------------------------------------------------------
 
-TEST(SystemTables, RowAndBatchPathsAgreeBitForBit) {
+TEST(SystemTables, AnswersMatchOracleOverProviderSnapshot) {
   SeedQueryLog();
+  auto snapshot = core::BuildQueriesTable(QueryLog::Global());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const std::vector<std::string> queries = {
       "SELECT * FROM system.queries",
       "SELECT span, duration_us FROM system.queries "
@@ -172,15 +176,16 @@ TEST(SystemTables, RowAndBatchPathsAgreeBitForBit) {
       "SELECT span FROM system.queries WHERE cpu_us >= 1 ORDER BY span",
   };
   for (const std::string& sql : queries) {
-    Database batch_db;
-    auto batch = batch_db.Execute(sql);
-    ASSERT_TRUE(batch.ok()) << sql << " -> " << batch.status().ToString();
+    Database db;
+    auto got = db.Execute(sql);
+    ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
 
-    Database row_db;
-    row_db.set_force_row_exec(true);
-    auto row = row_db.Execute(sql);
-    ASSERT_TRUE(row.ok()) << sql << " -> " << row.status().ToString();
-    EXPECT_TRUE(TablesEqual(*batch, *row)) << "row path: " << sql;
+    auto parsed = sql::ParseStatement(sql);
+    ASSERT_TRUE(parsed.ok()) << sql;
+    auto want = exec::ExecuteSelectRowOracle(
+        *snapshot, parsed->As<sql::SelectStmt>());
+    ASSERT_TRUE(want.ok()) << sql << " -> " << want.status().ToString();
+    EXPECT_TRUE(TablesEqual(*want, *got)) << "oracle: " << sql;
   }
 }
 

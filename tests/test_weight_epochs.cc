@@ -4,8 +4,7 @@
 // readers racing a stream of SEMI-OPEN refits and weight UPDATEs must
 // each observe a result bit-identical to *some* serialized weight
 // epoch, never a torn mix of two. scripts/check.sh runs this suite
-// under TSan and again with MOSAIC_ROW_PATH=1 so epoch pinning is
-// proven on both exec paths.
+// in its Release, TSan and traced legs.
 #include "core/weights.h"
 
 #include <gtest/gtest.h>
