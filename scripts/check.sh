@@ -321,19 +321,19 @@ if [[ "${1:-}" != "fast" ]]; then
   # TSan is slow; these are the tests that exercise concurrency —
   # concurrent reads through the batch executor, parallel OPEN
   # generation, and the service-level readers and writers).
+  # One list drives the build targets and both ctest regexes.
+  TSAN_SUITES=(thread_pool lru_cache service sql_fuzz net_e2e weight_epochs
+               metrics_registry system_tables event_log)
+  TSAN_REGEX="test_($(IFS='|'; echo "${TSAN_SUITES[*]}"))"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMOSAIC_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" --target \
-    test_thread_pool test_lru_cache test_service test_sql_fuzz \
-    test_net_e2e test_weight_epochs test_metrics_registry \
-    test_system_tables test_event_log
-  ctest --test-dir build-tsan --output-on-failure \
-    -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
+    "${TSAN_SUITES[@]/#/test_}"
+  ctest --test-dir build-tsan --output-on-failure -R "${TSAN_REGEX}"
   # And once more with tracing forced on, racing the query-log ring
   # and the system-table readers against traced execution.
   MOSAIC_TRACE=1 ctest --test-dir build-tsan \
-    --output-on-failure \
-    -R 'test_(thread_pool|lru_cache|service|sql_fuzz|net_e2e|weight_epochs|metrics_registry|system_tables|event_log)'
+    --output-on-failure -R "${TSAN_REGEX}"
 fi
 
 echo "All checks passed."

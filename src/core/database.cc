@@ -542,8 +542,11 @@ Result<Table> Database::ExecutePopulationQuery(const sql::SelectStmt& stmt,
           MOSAIC_ASSIGN_OR_RETURN(
               GeneratedSample gen,
               GenerateSample(model, open_.generated_rows, seed));
+          if (trace != nullptr) {
+            gen_span.Note(gen.reused ? "sample=reused" : "sample=generated");
+          }
           MOSAIC_ASSIGN_OR_RETURN(TableView view,
-                                  MakeWeightedView(gen.data, gen.weights));
+                                  MakeWeightedView(*gen.data, gen.weights));
           SelectionVector sel = SelectionVector::All(view.num_rows());
           if (model.restrict_predicate != nullptr) {
             MOSAIC_ASSIGN_OR_RETURN(
@@ -800,31 +803,39 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   MOSAIC_ASSIGN_OR_RETURN(DebiasPlan plan, PlanDebias(population));
 
   // Training data: the restricted sample when the population carries
-  // its own metadata, the full sample when debiasing to the GP.
-  Table training = sample->data;
-  if (!plan.reweight_to_global && !population->global) {
-    MOSAIC_ASSIGN_OR_RETURN(training,
-                            RestrictToPopulation(sample->data, *population));
+  // its own metadata, the full sample when debiasing to the GP. Only
+  // its row count enters the cache key; the data is read (and, for a
+  // restricted population, materialized) only when training.
+  const bool restrict_training = !plan.reweight_to_global &&
+                                 !population->global &&
+                                 population->predicate != nullptr;
+  SelectionVector training_sel;
+  size_t training_rows = sample->data.num_rows();
+  if (restrict_training) {
+    MOSAIC_ASSIGN_OR_RETURN(
+        training_sel,
+        exec::SelectRows(TableView(sample->data), *population->predicate));
+    training_rows = training_sel.size();
   }
-  if (training.num_rows() == 0) {
+  if (training_rows == 0) {
     return Status::ExecutionError("no sample tuples to train the M-SWG on");
   }
 
   OpenWorldModel out;
   out.population_size = plan.population_size;
-  out.default_rows = training.num_rows();
+  out.default_rows = training_rows;
   if (plan.reweight_to_global && population->predicate != nullptr) {
     out.restrict_predicate = population->predicate.get();
   }
 
   std::string cache_key =
       ToLower(population_name) + "|" + ToLower(sample->name) + "|" +
-      std::to_string(training.num_rows()) + "|" +
+      std::to_string(training_rows) + "|" +
       std::to_string(plan.marginals->size()) + "|" +
       OpenEngineName(open_.engine);
   if (open_.cache_models) {
     if (auto cached = model_cache_.Get(cache_key)) {
-      out.model = std::move(*cached);
+      out.entry = std::move(*cached);
       return out;
     }
   }
@@ -845,9 +856,13 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   if (open_.cache_models) {
     // Peek, not Get: the pre-lock Get already counted this lookup.
     if (auto cached = model_cache_.Peek(cache_key)) {
-      out.model = std::move(*cached);
+      out.entry = std::move(*cached);
       return out;
     }
+  }
+  Table restricted;
+  if (restrict_training) {
+    restricted = TableView(sample->data).Materialize(training_sel);
   }
   GeneratorOptions gen_opts;
   gen_opts.mswg = open_.mswg;
@@ -855,24 +870,60 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   gen_opts.bayes_net = open_.bayes_net;
   gen_opts.kde = open_.kde;
   MOSAIC_ASSIGN_OR_RETURN(
-      auto trained, TrainPopulationGenerator(open_.engine, training,
-                                             *plan.marginals, gen_opts));
-  out.model = std::shared_ptr<PopulationGenerator>(std::move(trained));
-  if (open_.cache_models) model_cache_.Put(cache_key, out.model);
+      auto trained,
+      TrainPopulationGenerator(open_.engine,
+                               restrict_training ? restricted : sample->data,
+                               *plan.marginals, gen_opts));
+  out.entry = std::make_shared<ModelEntry>(std::move(trained));
+  if (open_.cache_models) model_cache_.Put(cache_key, out.entry);
   return out;
 }
 
 Result<Database::GeneratedSample> Database::GenerateSample(
     const OpenWorldModel& model, size_t rows, uint64_t seed) const {
+  // Only the (rows, seed) requests of the current OPEN window are
+  // memoized, so an entry holds at most one window of tables.
+  const size_t window_rows =
+      open_.generated_rows == 0 ? model.default_rows : open_.generated_rows;
+  const uint64_t first_seed = open_.generation_seed;
+  const uint64_t window = std::max<size_t>(1, open_.num_generated_samples);
+  auto in_window = [&](const std::pair<size_t, uint64_t>& key) {
+    return key.first == window_rows && key.second >= first_seed &&
+           key.second - first_seed < window;
+  };
   if (rows == 0) rows = model.default_rows;
-  Rng gen_rng(seed);
+  const std::pair<size_t, uint64_t> key(rows, seed);
+  const bool memoize = open_.cache_models && in_window(key);
+  ModelEntry& entry = *model.entry;
   GeneratedSample out;
-  MOSAIC_ASSIGN_OR_RETURN(out.data, model.model->Generate(rows, &gen_rng));
+  if (memoize) {
+    MutexLock lock(entry.mu);
+    auto it = entry.samples.find(key);
+    if (it != entry.samples.end()) {
+      out.data = it->second;
+      out.reused = true;
+    }
+  }
+  if (out.data == nullptr) {
+    Rng gen_rng(seed);
+    MOSAIC_ASSIGN_OR_RETURN(Table generated,
+                            entry.generator->Generate(rows, &gen_rng));
+    out.data = std::make_shared<const Table>(std::move(generated));
+    if (memoize) {
+      MutexLock lock(entry.mu);
+      // Drop tables of an earlier window (generated_rows,
+      // generation_seed or num_generated_samples changed at runtime).
+      for (auto it = entry.samples.begin(); it != entry.samples.end();) {
+        it = in_window(it->first) ? std::next(it) : entry.samples.erase(it);
+      }
+      entry.samples.emplace(key, out.data);
+    }
+  }
   // Uniform reweighting of the generated sample to the population
   // size (§5.3).
   out.weights.assign(
-      out.data.num_rows(),
-      model.population_size / static_cast<double>(out.data.num_rows()));
+      out.data->num_rows(),
+      model.population_size / static_cast<double>(out.data->num_rows()));
   return out;
 }
 
@@ -883,7 +934,7 @@ Result<Table> Database::GenerateOpenWorldTable(
   MOSAIC_ASSIGN_OR_RETURN(GeneratedSample gen,
                           GenerateSample(model, rows, seed));
   MOSAIC_ASSIGN_OR_RETURN(TableView view,
-                          MakeWeightedView(gen.data, gen.weights));
+                          MakeWeightedView(*gen.data, gen.weights));
   SelectionVector sel = SelectionVector::All(view.num_rows());
   if (model.restrict_predicate != nullptr) {
     // Generated tuples represent the GP; the query population is a

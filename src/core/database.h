@@ -34,6 +34,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/lru_cache.h"
@@ -85,14 +86,20 @@ struct OpenOptions {
   size_t num_generated_samples = 1;
   uint64_t generation_seed = 7;
   /// Reuse a trained generator across queries against the same
-  /// (population, sample) pair. Bound the cache with
-  /// Database::set_model_cache_capacity.
+  /// (population, sample) pair, together with the tables it has
+  /// generated: sample k of an OPEN query is a pure function of the
+  /// model, the row count and seed generation_seed + k, so warm OPEN
+  /// queries answer over the memoized tables instead of regenerating
+  /// them. Each cached model holds at most num_generated_samples
+  /// tables of one row count. Bound the cache (models and their
+  /// tables alike) with Database::set_model_cache_capacity.
   bool cache_models = true;
 };
 
 class Database {
  public:
-  /// Default bound on the trained-generator LRU cache (entries).
+  /// Default bound on the trained-generator LRU cache (entries; each
+  /// also holds its model's memoized OPEN samples).
   static constexpr size_t kDefaultModelCacheCapacity = 16;
 
   Database();
@@ -259,9 +266,10 @@ class Database {
   }
   bool union_samples() const { return union_samples_; }
 
-  /// Drop all cached trained generators (e.g. after new metadata).
-  /// Thread-safe: may be called while OPEN queries are in flight;
-  /// they keep their shared_ptr to the model they already fetched.
+  /// Drop all cached trained generators and their generated tables
+  /// (e.g. after new metadata). Thread-safe: may be called while OPEN
+  /// queries are in flight; they keep their shared_ptr to the model
+  /// entry they already fetched.
   void InvalidateModelCache() {
     model_cache_.Clear();
     MutexLock lock(train_mu_);
@@ -378,11 +386,29 @@ class Database {
   };
   [[nodiscard]] Result<DebiasPlan> PlanDebias(PopulationInfo* population);
 
+  /// A model-cache entry: a trained generator plus the tables it has
+  /// generated, memoized by (rows, seed). The memo holds only the
+  /// requests of the current OPEN window (one row count, seeds
+  /// [generation_seed, generation_seed + num_generated_samples)), so
+  /// an entry never holds more than num_generated_samples tables, and
+  /// LRU eviction or invalidation of the entry frees them with the
+  /// model.
+  struct ModelEntry {
+    explicit ModelEntry(std::shared_ptr<const PopulationGenerator> g)
+        : generator(std::move(g)) {}
+    const std::shared_ptr<const PopulationGenerator> generator;
+    Mutex mu;
+    std::map<std::pair<size_t, uint64_t>, std::shared_ptr<const Table>>
+        samples GUARDED_BY(mu);
+  };
+
   /// A trained (or cache-fetched) generator plus everything needed to
   /// turn it into weighted open-world tables without touching the
   /// catalog again — the unit of work handed to generation threads.
   struct OpenWorldModel {
-    std::shared_ptr<PopulationGenerator> model;
+    /// Private to the query (never memoized into) when cache_models
+    /// is off.
+    std::shared_ptr<ModelEntry> entry;
     double population_size = 0.0;
     /// Row count used when the caller passes rows == 0 (the paper's
     /// "same number of rows as the original sample").
@@ -394,7 +420,7 @@ class Database {
 
   /// Fetch the population's generator from the LRU cache or train it.
   /// Training of a given key happens at most once even under
-  /// concurrent OPEN queries.
+  /// concurrent OPEN queries. A cache hit copies no sample data.
   [[nodiscard]] Result<OpenWorldModel> PrepareOpenWorldModel(
       const std::string& population_name);
 
@@ -402,10 +428,17 @@ class Database {
   /// (population_size / rows), before weight attachment and
   /// view-restriction — the single source both the materializing
   /// (GenerateOpenWorldTable) and zero-copy (OPEN query) consumers
-  /// build on.
+  /// build on. With cache_models on, a request for the rows and one
+  /// of the seeds an OPEN query uses (generated_rows, both after
+  /// resolving 0 to default_rows; seed in [generation_seed,
+  /// generation_seed + num_generated_samples)) is served from the
+  /// model entry's memo (`reused`), or generated and stored there;
+  /// any other request just generates. The weights are
+  /// computed per call from the current population size.
   struct GeneratedSample {
-    Table data;
+    std::shared_ptr<const Table> data;
     std::vector<double> weights;
+    bool reused = false;
   };
   [[nodiscard]] Result<GeneratedSample> GenerateSample(const OpenWorldModel& model,
                                          size_t rows, uint64_t seed) const;
@@ -413,7 +446,7 @@ class Database {
   Catalog catalog_;
   SemiOpenOptions semi_open_;
   OpenOptions open_;
-  LruCache<std::string, std::shared_ptr<PopulationGenerator>> model_cache_;
+  LruCache<std::string, std::shared_ptr<ModelEntry>> model_cache_;
   /// Per-cache-key training locks: concurrent OPEN queries on the
   /// same key train once instead of racing, while different keys
   /// train independently. train_mu_ only guards the lock map itself

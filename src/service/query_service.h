@@ -20,8 +20,9 @@
 //     (exec/executor.h).
 //
 // Caching
-//   - Model cache: the Database's bounded LRU of trained generators
-//     (shared across sessions; invalidated by metadata changes).
+//   - Model cache: the Database's bounded LRU of trained generators,
+//     each with the OPEN samples it generated (shared across
+//     sessions; invalidated by metadata changes).
 //   - Result cache: (canonicalized SQL, catalog version, weight
 //     epoch) -> result table, bounded LRU. Only read-class statements
 //     are cached. Nothing is ever flushed wholesale: a write bumps
@@ -63,7 +64,8 @@ struct ServiceOptions {
   size_t num_generation_threads = 4;
   /// Result-cache bound in entries; 0 disables result caching.
   size_t result_cache_capacity = 256;
-  /// Trained-generator cache bound, applied to the owned Database.
+  /// Trained-generator cache bound (models and their memoized OPEN
+  /// samples), applied to the owned Database.
   size_t model_cache_capacity = 16;
   /// Trace every statement (parse, cache, execute, per-phase executor
   /// spans). Results are bit-identical traced or not; the cost is the

@@ -70,6 +70,19 @@ void SetUpTinyWorld(core::Database* db) {
   return ::testing::AssertionSuccess();
 }
 
+/// The detail notes of an EXPLAIN ANALYZE result's "generate k" spans,
+/// in span order.
+std::vector<std::string> GenerateSpanNotes(const Table& explain) {
+  std::vector<std::string> notes;
+  for (size_t row = 0; row < explain.num_rows(); ++row) {
+    const std::string span = explain.GetValue(row, 0).AsString();
+    if (span.find("generate ") != std::string::npos) {
+      notes.push_back(explain.GetValue(row, 3).AsString());
+    }
+  }
+  return notes;
+}
+
 // ---------------------------------------------------------------------------
 // Canonicalization / classification
 // ---------------------------------------------------------------------------
@@ -188,9 +201,158 @@ TEST(ModelCache, InvalidateSafeWhileQueriesInFlight) {
   for (int i = 0; i < 5; ++i) {
     auto r = db.GenerateOpenWorldTable("Things", 16, 7 + i);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
+    auto q = db.Execute("SELECT OPEN COUNT(*) FROM Things");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
   }
   stop.store(true);
   invalidator.join();
+}
+
+TEST(ModelCache, CapacityOneFreesFirstModelsSamples) {
+  core::Database db;
+  SetUpTinyWorld(&db);
+  ASSERT_TRUE(db.Execute("CREATE POPULATION SmallThings AS "
+                         "(SELECT * FROM Things WHERE size = 'S')")
+                  .ok());
+  db.set_model_cache_capacity(1);
+  const std::string things = "EXPLAIN ANALYZE SELECT OPEN COUNT(*) FROM Things";
+  ASSERT_TRUE(db.Execute(things).ok());
+  auto warm = db.Execute(things);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*warm),
+            std::vector<std::string>(3, "sample=reused"));
+  // A second key evicts the first model and, with it, its samples.
+  ASSERT_TRUE(db.Execute("SELECT OPEN COUNT(*) FROM SmallThings").ok());
+  CacheStats stats = db.ModelCacheStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  auto again = db.Execute(things);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*again),
+            std::vector<std::string>(3, "sample=generated"));
+  EXPECT_EQ(db.ModelCacheStats().insertions, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Memoized OPEN samples: a warm answer equals a fresh database's cold one
+// ---------------------------------------------------------------------------
+
+const char* const kOpenQueries[] = {
+    "SELECT OPEN color, COUNT(*) AS c FROM Things GROUP BY color "
+    "ORDER BY color",
+    "SELECT OPEN size, COUNT(*) AS c FROM Things GROUP BY size ORDER BY size",
+    // A view over the GP: generated tuples are filtered per query.
+    "SELECT OPEN COUNT(*) AS c FROM SmallThings",
+    // A population with its own metadata trains on the restricted sample.
+    "SELECT OPEN color, COUNT(*) AS c FROM LargeThings GROUP BY color "
+    "ORDER BY color",
+};
+
+void SetUpMemoWorld(core::Database* db) {
+  SetUpTinyWorld(db);
+  auto ok = [db](const std::string& sql) {
+    auto r = db->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  ok("CREATE POPULATION SmallThings AS (SELECT * FROM Things WHERE size = "
+     "'S')");
+  ok("CREATE POPULATION LargeThings AS (SELECT * FROM Things WHERE size = "
+     "'L')");
+  ok("CREATE TABLE LargeReport (color VARCHAR, cnt INT)");
+  ok("INSERT INTO LargeReport VALUES ('red', 30), ('blue', 20)");
+  ok("CREATE METADATA LargeThings_M1 AS (SELECT color, cnt FROM "
+     "LargeReport)");
+}
+
+/// Runs every query of kOpenQueries twice on `warm` (the second run
+/// answers from memoized samples) and once on a fresh database with the
+/// same OPEN options; all three answers must be identical.
+void ExpectWarmEqualsFresh(core::Database* warm, ThreadPool* pool) {
+  core::Database fresh;
+  SetUpMemoWorld(&fresh);
+  *fresh.mutable_open_options() = *warm->mutable_open_options();
+  fresh.set_generation_pool(pool);
+  for (const char* sql : kOpenQueries) {
+    auto first = warm->Execute(sql);
+    auto second = warm->Execute(sql);
+    auto cold = fresh.Execute(sql);
+    ASSERT_TRUE(first.ok()) << sql << " -> " << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << sql << " -> " << second.status().ToString();
+    ASSERT_TRUE(cold.ok()) << sql << " -> " << cold.status().ToString();
+    EXPECT_TRUE(TablesEqual(*cold, *first)) << sql;
+    EXPECT_TRUE(TablesEqual(*cold, *second)) << sql;
+  }
+}
+
+TEST(OpenMemo, WarmOpenEqualsFreshDatabase) {
+  ThreadPool pool(4);
+  for (ThreadPool* gen_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    core::Database db;
+    SetUpMemoWorld(&db);
+    db.set_generation_pool(gen_pool);
+    ExpectWarmEqualsFresh(&db, gen_pool);
+    auto explain =
+        db.Execute("EXPLAIN ANALYZE " + std::string(kOpenQueries[0]));
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_EQ(GenerateSpanNotes(*explain),
+              std::vector<std::string>(3, "sample=reused"));
+  }
+}
+
+TEST(OpenMemo, RuntimeOptionChangesMatchFreshDatabase) {
+  ThreadPool pool(2);
+  core::Database db;
+  SetUpMemoWorld(&db);
+  db.set_generation_pool(&pool);
+  ExpectWarmEqualsFresh(&db, &pool);
+  db.mutable_open_options()->generated_rows = 48;
+  ExpectWarmEqualsFresh(&db, &pool);
+  db.mutable_open_options()->generation_seed = 11;
+  ExpectWarmEqualsFresh(&db, &pool);
+  db.mutable_open_options()->num_generated_samples = 5;
+  ExpectWarmEqualsFresh(&db, &pool);
+  db.mutable_open_options()->num_generated_samples = 1;
+  ExpectWarmEqualsFresh(&db, &pool);
+  // Back to the first settings: the memo was replaced on the way, and
+  // the answers still match.
+  db.mutable_open_options()->generated_rows = 64;
+  db.mutable_open_options()->generation_seed = 7;
+  db.mutable_open_options()->num_generated_samples = 3;
+  ExpectWarmEqualsFresh(&db, &pool);
+}
+
+TEST(OpenMemo, OtherSeedsAndRowCountsAreNotMemoized) {
+  core::Database db;
+  SetUpTinyWorld(&db);
+  // Only an OPEN query's (generated_rows, generation_seed + k) requests
+  // enter the memo; everything else regenerates, bit-identically.
+  auto in_window = db.GenerateOpenWorldTable("Things", 64, 8);
+  auto other_seed = db.GenerateOpenWorldTable("Things", 64, 100);
+  auto other_rows = db.GenerateOpenWorldTable("Things", 32, 8);
+  ASSERT_TRUE(in_window.ok());
+  ASSERT_TRUE(other_seed.ok());
+  ASSERT_TRUE(other_rows.ok());
+  auto explain = db.Execute("EXPLAIN ANALYZE SELECT OPEN COUNT(*) FROM Things");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*explain),
+            (std::vector<std::string>{"sample=generated", "sample=reused",
+                                      "sample=generated"}));
+  auto again = db.GenerateOpenWorldTable("Things", 64, 8);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(TablesEqual(*in_window, *again));
+}
+
+TEST(OpenMemo, DisabledModelCacheMemoizesNothing) {
+  core::Database db;
+  SetUpTinyWorld(&db);
+  db.mutable_open_options()->cache_models = false;
+  const std::string sql = "EXPLAIN ANALYZE SELECT OPEN COUNT(*) FROM Things";
+  ASSERT_TRUE(db.Execute(sql).ok());
+  auto again = db.Execute(sql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*again),
+            std::vector<std::string>(3, "sample=generated"));
+  EXPECT_EQ(db.ModelCacheStats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,6 +691,22 @@ TEST_F(ServiceTest, ExplainAnalyzeReturnsSpanTree) {
                       "EXPLAIN ANALYZE SELECT CLOSED COUNT(*) FROM Things")
                   .ok());
   EXPECT_EQ(service_->Stats().result_cache.insertions, inserts_before);
+}
+
+TEST_F(ServiceTest, ExplainAnalyzeShowsWarmOpenReusesSamples) {
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT OPEN color, COUNT(*) FROM Things GROUP BY "
+      "color";
+  auto cold = service_->Execute(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*cold),
+            std::vector<std::string>(3, "sample=generated"));
+  // Another statement over the same model generates nothing.
+  auto warm = service_->Execute(
+      "EXPLAIN ANALYZE SELECT OPEN COUNT(*) FROM Things");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(GenerateSpanNotes(*warm),
+            std::vector<std::string>(3, "sample=reused"));
 }
 
 TEST_F(ServiceTest, ExplainAnalyzeSpansAccountForMostOfTheWallTime) {
