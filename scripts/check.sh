@@ -245,22 +245,24 @@ MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|exec_parity|simd_kernels|nn|mswg|generator)'
 
 # UBSan leg over the executor tests, the durable storage suites, the
-# service suite, and the nn/M-SWG suites: the SIMD layer leans on
-# casts, bit tricks, and alignment assumptions, the storage engine adds
-# mmap'd column reads and byte-level (de)serialization on top, the
-# service scales operator-supplied thresholds, and the GEMM's edge
-# tiles do raw pointer arithmetic over packed panels; undefined-behavior
-# findings there must fail CI even when the answers happen to come out
-# right.
-echo "=== UBSan: executor + kernel + storage + service + nn tests ==="
+# service suite, the nn/M-SWG suites and the IPF/marginal suites: the
+# SIMD layer leans on casts, bit tricks, and alignment assumptions, the
+# storage engine adds mmap'd column reads and byte-level
+# (de)serialization on top, the service scales operator-supplied
+# thresholds, the GEMM's edge tiles do raw pointer arithmetic over
+# packed panels, and the cell index bins rows by indexing with raw
+# dictionary codes; undefined-behavior findings there must fail CI
+# even when the answers happen to come out right.
+echo "=== UBSan: executor + kernel + storage + service + nn + stats tests ==="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOSAIC_SANITIZE=undefined
 cmake --build build-ubsan -j "${JOBS}" --target \
   test_simd_kernels test_exec_parity test_executor test_sql_fuzz \
-  test_durable test_durable_recovery test_service test_nn test_mswg
+  test_durable test_durable_recovery test_service test_nn test_mswg \
+  test_marginal test_ipf test_reweight test_bayes_net test_weight_epochs
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-ubsan \
   --output-on-failure \
-  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|service|nn|mswg)'
+  -R 'test_(simd_kernels|exec_parity|executor|sql_fuzz|durable|durable_recovery|service|nn|mswg|marginal|ipf|reweight|bayes_net|weight_epochs)'
 
 # Bench JSON smoke: the bench binaries must emit parseable JSON with
 # the latency histogram fields (BENCH_*.json feeds dashboards; a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <set>
@@ -123,6 +124,57 @@ Table TailRows(const Table& table, size_t begin) {
     }
     MOSAIC_RETURN_IF_ERROR(out.AppendRow(row));
   }
+  return out;
+}
+
+/// Exact rendering of the options a generator trains with: equal
+/// strings mean equal options, so the model cache never answers with
+/// a model trained under other options. Doubles are rendered by their
+/// bits.
+std::string TrainingOptionsKey(const GeneratorOptions& options) {
+  std::string out;
+  auto put = [&out](uint64_t v) {
+    out += std::to_string(v);
+    out += ',';
+  };
+  auto put_double = [&put](double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    put(bits);
+  };
+  const MswgOptions& m = options.mswg;
+  out += "mswg:";
+  put(m.latent_dim);
+  put(m.hidden_layers);
+  put(m.hidden_nodes);
+  put(m.batch_norm);
+  put(m.softmax_categorical);
+  put(static_cast<uint64_t>(m.categorical_encoding));
+  put_double(m.lambda);
+  put(m.num_projections);
+  put(m.projections_per_step);
+  put(m.batch_size);
+  put(m.epochs);
+  put(m.steps_per_epoch);
+  put_double(m.learning_rate);
+  put(m.plateau_patience);
+  put_double(m.one_d_coefficient);
+  put(m.coverage_subset);
+  put(m.seed);
+  put(m.verbose);
+  const stats::IpfOptions& ipf = options.ipf;
+  out += "ipf:";
+  put(ipf.max_iterations);
+  put_double(ipf.tolerance);
+  put(ipf.scale_to_population);
+  put(ipf.incremental_max_iterations);
+  put_double(ipf.incremental_regress_threshold);
+  out += "bn:";
+  put(options.bayes_net.continuous_bins);
+  put_double(options.bayes_net.smoothing);
+  out += "kde:";
+  put_double(options.kde.bandwidth_scale);
+  put_double(options.kde.categorical_lambda);
   return out;
 }
 
@@ -828,11 +880,16 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
     out.restrict_predicate = population->predicate.get();
   }
 
+  GeneratorOptions gen_opts;
+  gen_opts.mswg = open_.mswg;
+  gen_opts.ipf = open_.ipf;
+  gen_opts.bayes_net = open_.bayes_net;
+  gen_opts.kde = open_.kde;
   std::string cache_key =
       ToLower(population_name) + "|" + ToLower(sample->name) + "|" +
       std::to_string(training_rows) + "|" +
       std::to_string(plan.marginals->size()) + "|" +
-      OpenEngineName(open_.engine);
+      OpenEngineName(open_.engine) + "|" + TrainingOptionsKey(gen_opts);
   if (open_.cache_models) {
     if (auto cached = model_cache_.Get(cache_key)) {
       out.entry = std::move(*cached);
@@ -864,11 +921,6 @@ Result<Database::OpenWorldModel> Database::PrepareOpenWorldModel(
   if (restrict_training) {
     restricted = TableView(sample->data).Materialize(training_sel);
   }
-  GeneratorOptions gen_opts;
-  gen_opts.mswg = open_.mswg;
-  gen_opts.ipf = open_.ipf;
-  gen_opts.bayes_net = open_.bayes_net;
-  gen_opts.kde = open_.kde;
   MOSAIC_ASSIGN_OR_RETURN(
       auto trained,
       TrainPopulationGenerator(open_.engine,

@@ -73,15 +73,18 @@ Result<ChowLiuTree> ChowLiuTree::Fit(const Table& data,
         data.schema().column(node_cols[i]).type;
   }
 
-  // Discretize all rows once.
+  // Discretize all rows once, from the columns' typed storage.
   size_t n = data.num_rows();
   size_t d = node_cols.size();
-  std::vector<std::vector<size_t>> bins(d, std::vector<size_t>(n));
+  std::vector<std::vector<int64_t>> bins(d, std::vector<int64_t>(n, 0));
   for (size_t i = 0; i < d; ++i) {
     const Column& col = data.column(node_cols[i]);
-    for (size_t r = 0; r < n; ++r) {
-      MOSAIC_ASSIGN_OR_RETURN(bins[i][r],
-                              tree.nodes_[i].binning.BinOf(col.GetValue(r)));
+    const AttributeBinning& binning = tree.nodes_[i].binning;
+    binning.FoldBins(col, &bins[i]);
+    auto outside = std::find(bins[i].begin(), bins[i].end(), int64_t{-1});
+    if (outside != bins[i].end()) {
+      // BinOf's own NotFound for the first row outside the support.
+      return binning.BinOf(col.GetValue(outside - bins[i].begin())).status();
     }
   }
   std::vector<double> w(n, 1.0);

@@ -7,30 +7,46 @@
 namespace mosaic {
 namespace stats {
 
-[[nodiscard]] Result<IpfReport> IterativeProportionalFit(
-    const Table& sample, const std::vector<Marginal>& marginals,
-    std::vector<double>* weights, const IpfOptions& options) {
-  if (weights == nullptr || weights->size() != sample.num_rows()) {
-    return Status::InvalidArgument("weights must match sample row count");
-  }
+namespace {
+
+/// One cell index per marginal over the sample rows.
+using CellIndex = std::vector<std::vector<int64_t>>;
+
+[[nodiscard]] Status CheckFitInputs(const Table& sample,
+                                    const std::vector<Marginal>& marginals) {
   if (marginals.empty()) {
     return Status::InvalidArgument("IPF needs at least one marginal");
   }
   if (sample.num_rows() == 0) {
     return Status::InvalidArgument("IPF over empty sample");
   }
-  for (double w : *weights) {
+  return Status::OK();
+}
+
+[[nodiscard]] Status CheckStartingWeights(const std::vector<double>& weights) {
+  for (double w : weights) {
     if (w < 0.0 || !std::isfinite(w)) {
       return Status::InvalidArgument("initial weights must be >= 0");
     }
   }
+  return Status::OK();
+}
 
-  // Precompute per-marginal cell ids for every row.
-  std::vector<std::vector<int64_t>> cells(marginals.size());
+/// Every marginal's cell ids for every sample row: binned once per
+/// fit, then read by every raking step and convergence check.
+[[nodiscard]] Result<CellIndex> SampleCellIndex(
+    const Table& sample, const std::vector<Marginal>& marginals) {
+  CellIndex cells(marginals.size());
   for (size_t m = 0; m < marginals.size(); ++m) {
     MOSAIC_ASSIGN_OR_RETURN(cells[m], marginals[m].CellIds(sample));
   }
+  return cells;
+}
 
+/// IPF from checked starting `weights` over the sample's cell index.
+[[nodiscard]] Result<IpfReport> FitCellIndex(
+    const CellIndex& cells, const std::vector<Marginal>& marginals,
+    std::vector<double>* weights, const IpfOptions& options) {
   // Uncovered target mass: cells with target > 0 but no sample rows.
   double uncovered = 0.0;
   for (size_t m = 0; m < marginals.size(); ++m) {
@@ -95,7 +111,7 @@ namespace stats {
     // Convergence check on the normalized L1 error of every marginal.
     double max_err = 0.0;
     for (size_t m = 0; m < marginals.size(); ++m) {
-      MOSAIC_ASSIGN_OR_RETURN(double err, marginals[m].L1Error(sample, w));
+      MOSAIC_ASSIGN_OR_RETURN(double err, marginals[m].L1Error(cells[m], w));
       // Subtract the irreducible uncovered part of this marginal so
       // convergence is judged on what reweighting can actually fix.
       max_err = std::max(max_err, err);
@@ -121,6 +137,20 @@ namespace stats {
   return report;
 }
 
+}  // namespace
+
+[[nodiscard]] Result<IpfReport> IterativeProportionalFit(
+    const Table& sample, const std::vector<Marginal>& marginals,
+    std::vector<double>* weights, const IpfOptions& options) {
+  if (weights == nullptr || weights->size() != sample.num_rows()) {
+    return Status::InvalidArgument("weights must match sample row count");
+  }
+  MOSAIC_RETURN_IF_ERROR(CheckFitInputs(sample, marginals));
+  MOSAIC_RETURN_IF_ERROR(CheckStartingWeights(*weights));
+  MOSAIC_ASSIGN_OR_RETURN(CellIndex cells, SampleCellIndex(sample, marginals));
+  return FitCellIndex(cells, marginals, weights, options);
+}
+
 [[nodiscard]] Result<IpfReport> IncrementalProportionalFit(
     const Table& sample, const std::vector<Marginal>& marginals,
     const std::vector<double>& previous_weights,
@@ -132,6 +162,9 @@ namespace stats {
     return Status::InvalidArgument(
         "previous weights cover more rows than the sample");
   }
+  // The warm attempt and any cold fallback read one cell index.
+  MOSAIC_RETURN_IF_ERROR(CheckFitInputs(sample, marginals));
+  MOSAIC_ASSIGN_OR_RETURN(CellIndex cells, SampleCellIndex(sample, marginals));
   // Seed: the previous epoch's fitted weights, unit weight for the
   // newly ingested tail. IPF's fixpoint has the form w_i = seed_i *
   // prod(cell factors), so a near-fitted seed leaves only the factors
@@ -142,8 +175,10 @@ namespace stats {
   if (options.incremental_max_iterations > 0) {
     warm_opts.max_iterations = options.incremental_max_iterations;
   }
-  auto warm_result =
-      IterativeProportionalFit(sample, marginals, &warm, warm_opts);
+  Status seed = CheckStartingWeights(warm);
+  Result<IpfReport> warm_result =
+      seed.ok() ? FitCellIndex(cells, marginals, &warm, warm_opts)
+                : Result<IpfReport>(seed);
   size_t warm_iterations = 0;
   if (warm_result.ok()) {
     IpfReport report = warm_result.value();
@@ -167,9 +202,8 @@ namespace stats {
   // of the marginal polytope) or errored outright (e.g. the seed has
   // zero mass inside a marginal's support): cold full refit.
   std::vector<double> cold(sample.num_rows(), 1.0);
-  MOSAIC_ASSIGN_OR_RETURN(
-      IpfReport cold_report,
-      IterativeProportionalFit(sample, marginals, &cold, options));
+  MOSAIC_ASSIGN_OR_RETURN(IpfReport cold_report,
+                          FitCellIndex(cells, marginals, &cold, options));
   cold_report.warm_started = true;
   cold_report.fell_back_to_cold = true;
   cold_report.iterations += warm_iterations;

@@ -11,6 +11,12 @@
 // converges to the maximum-entropy reweighting subject to the
 // marginal constraints.
 //
+// A fit bins the sample once: it builds one cell index per marginal
+// (Marginal::CellIds, read from the typed column storage), and every
+// raking step and convergence check (Marginal::L1Error over the
+// index) reads it. IncrementalProportionalFit's warm attempt and its
+// cold fallback share one index.
+//
 // Cells with positive target mass but *no* sample tuples cannot be
 // fixed by reweighting — those are exactly the false negatives the
 // paper attributes to SEMI-OPEN queries (§3.3); the report exposes the
@@ -30,7 +36,8 @@ namespace stats {
 struct IpfOptions {
   size_t max_iterations = 200;  ///< full cycles through all marginals
   /// Converged when the max normalized L1 marginal error (see
-  /// Marginal::L1Error) across marginals falls below this.
+  /// Marginal::L1Error over the fit's cell index) across marginals
+  /// falls below this.
   double tolerance = 1e-6;
   /// Scale the final weights so the total equals the (average)
   /// marginal total — i.e. the weighted sample represents the

@@ -24,6 +24,19 @@ AttributeBinning AttributeBinning::Categorical(std::string attr,
   for (size_t i = 0; i < b.categories_.size(); ++i) {
     b.category_index_.emplace(b.categories_[i], i);
   }
+  // Numeric categories sorted by value, then by position: of equal
+  // categories, category_index_ kept the first.
+  std::vector<std::pair<double, size_t>> numeric;
+  for (size_t i = 0; i < b.categories_.size(); ++i) {
+    auto x = b.categories_[i].ToDouble();
+    if (x.ok() && !std::isnan(*x)) numeric.emplace_back(*x, i);
+  }
+  std::sort(numeric.begin(), numeric.end());
+  for (const auto& [x, i] : numeric) {
+    if (!b.numeric_keys_.empty() && b.numeric_keys_.back() == x) continue;
+    b.numeric_keys_.push_back(x);
+    b.numeric_bins_.push_back(i);
+  }
   return b;
 }
 
@@ -57,10 +70,74 @@ Result<size_t> AttributeBinning::BinOf(const Value& v) const {
     return it->second;
   }
   MOSAIC_ASSIGN_OR_RETURN(double x, v.ToDouble());
-  if (x <= lo_) return size_t{0};
+  return ContinuousBin(x);
+}
+
+size_t AttributeBinning::ContinuousBin(double x) const {
+  if (x <= lo_) return 0;
   if (x >= hi_) return num_continuous_bins_ - 1;
   size_t bin = static_cast<size_t>((x - lo_) / width_);
   return std::min(bin, num_continuous_bins_ - 1);
+}
+
+int64_t AttributeBinning::NumericBin(double x) const {
+  if (!categorical_) return static_cast<int64_t>(ContinuousBin(x));
+  auto it = std::lower_bound(numeric_keys_.begin(), numeric_keys_.end(), x);
+  if (it == numeric_keys_.end() || *it != x) return -1;
+  return static_cast<int64_t>(numeric_bins_[it - numeric_keys_.begin()]);
+}
+
+void AttributeBinning::FoldBins(const Column& col,
+                                std::vector<int64_t>* cells) const {
+  assert(cells->size() == col.size());
+  const int64_t nb = static_cast<int64_t>(num_bins());
+  int64_t* out = cells->data();
+  const size_t n = col.size();
+  auto fold = [out, nb](size_t r, int64_t bin) {
+    out[r] = out[r] < 0 || bin < 0 ? -1 : out[r] * nb + bin;
+  };
+  auto boxed_bin = [this](const Value& v) -> int64_t {
+    auto bin = BinOf(v);
+    return bin.ok() ? static_cast<int64_t>(*bin) : -1;
+  };
+  switch (col.type()) {
+    case DataType::kString: {
+      const std::vector<std::string>& dict = col.dictionary().values();
+      std::vector<int64_t> bin_of_code(dict.size());
+      for (size_t k = 0; k < dict.size(); ++k) {
+        bin_of_code[k] = boxed_bin(Value(dict[k]));
+      }
+      const int32_t* codes = col.raw_codes();
+      for (size_t r = 0; r < n; ++r) fold(r, bin_of_code[codes[r]]);
+      return;
+    }
+    case DataType::kBool: {
+      const int64_t bin_of_bool[2] = {boxed_bin(Value(false)),
+                                      boxed_bin(Value(true))};
+      const uint8_t* bools = col.raw_bool();
+      for (size_t r = 0; r < n; ++r) fold(r, bin_of_bool[bools[r] != 0]);
+      return;
+    }
+    case DataType::kInt64: {
+      const int64_t* ints = col.raw_int64();
+      for (size_t r = 0; r < n; ++r) {
+        fold(r, NumericBin(static_cast<double>(ints[r])));
+      }
+      return;
+    }
+    case DataType::kDouble: {
+      const double* doubles = col.raw_double();
+      for (size_t r = 0; r < n; ++r) {
+        // NaN is unordered against the categories and the bin edges:
+        // it gets whatever BinOf makes of it.
+        const double x = doubles[r];
+        fold(r, std::isnan(x) ? boxed_bin(Value(x)) : NumericBin(x));
+      }
+      return;
+    }
+    case DataType::kNull:
+      break;  // columns are non-nullable
+  }
 }
 
 Value AttributeBinning::BinRepresentative(size_t bin) const {
@@ -268,36 +345,15 @@ std::vector<size_t> Marginal::CellCoords(size_t cell) const {
   return bins;
 }
 
-Result<size_t> Marginal::CellOfRow(const Table& table, size_t row) const {
-  std::vector<size_t> bins(attrs_.size());
-  for (size_t a = 0; a < attrs_.size(); ++a) {
-    MOSAIC_ASSIGN_OR_RETURN(size_t col,
-                            table.schema().ColumnIndex(attrs_[a].attr()));
-    MOSAIC_ASSIGN_OR_RETURN(bins[a],
-                            attrs_[a].BinOf(table.GetValue(row, col)));
-  }
-  return CellIndex(bins);
-}
-
 Result<std::vector<int64_t>> Marginal::CellIds(const Table& table) const {
   std::vector<size_t> cols(attrs_.size());
   for (size_t a = 0; a < attrs_.size(); ++a) {
     MOSAIC_ASSIGN_OR_RETURN(cols[a],
                             table.schema().ColumnIndex(attrs_[a].attr()));
   }
-  std::vector<int64_t> cells(table.num_rows(), -1);
-  std::vector<size_t> bins(attrs_.size());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    bool in_support = true;
-    for (size_t a = 0; a < attrs_.size(); ++a) {
-      auto bin = attrs_[a].BinOf(table.GetValue(r, cols[a]));
-      if (!bin.ok()) {
-        in_support = false;
-        break;
-      }
-      bins[a] = *bin;
-    }
-    if (in_support) cells[r] = static_cast<int64_t>(CellIndex(bins));
+  std::vector<int64_t> cells(table.num_rows(), 0);
+  for (size_t a = 0; a < attrs_.size(); ++a) {
+    attrs_[a].FoldBins(table.column(cols[a]), &cells);
   }
   return cells;
 }
@@ -316,12 +372,11 @@ std::vector<size_t> Marginal::SampleCells(size_t n, Rng* rng) const {
   return out;
 }
 
-Result<double> Marginal::L1Error(const Table& table,
+Result<double> Marginal::L1Error(const std::vector<int64_t>& cells,
                                  const std::vector<double>& weights) const {
-  if (weights.size() != table.num_rows()) {
+  if (weights.size() != cells.size()) {
     return Status::InvalidArgument("weights size mismatch");
   }
-  MOSAIC_ASSIGN_OR_RETURN(auto cells, CellIds(table));
   std::vector<double> observed(NumCells(), 0.0);
   double observed_total = 0.0;
   double out_of_support = 0.0;
@@ -340,6 +395,12 @@ Result<double> Marginal::L1Error(const Table& table,
   }
   err += out_of_support / observed_total;
   return err;
+}
+
+Result<double> Marginal::L1Error(const Table& table,
+                                 const std::vector<double>& weights) const {
+  MOSAIC_ASSIGN_OR_RETURN(auto cells, CellIds(table));
+  return L1Error(cells, weights);
 }
 
 std::string Marginal::ToString(size_t max_cells) const {

@@ -42,6 +42,17 @@ class AttributeBinning {
   /// outside the marginal's support).
   [[nodiscard]] Result<size_t> BinOf(const Value& v) const;
 
+  /// Folds the bin of every row of `col` into `cells` (which holds
+  /// col.size() entries), row-major: cell = cell * num_bins() + bin.
+  /// Rows already at -1, and rows whose value BinOf rejects, become
+  /// -1. Each row gets exactly the bin BinOf gives its boxed value,
+  /// but read from the column's typed storage: string and bool
+  /// columns resolve one BinOf per distinct code, numeric categories
+  /// are found by a bound search over their sorted doubles (Value
+  /// compares numerics as doubles), and continuous bins use BinOf's
+  /// own arithmetic on the raw number.
+  void FoldBins(const Column& col, std::vector<int64_t>* cells) const;
+
   /// Representative value of a bin: the category, or the bin center.
   Value BinRepresentative(size_t bin) const;
 
@@ -54,10 +65,19 @@ class AttributeBinning {
   const std::vector<Value>& categories() const { return categories_; }
 
  private:
+  /// BinOf for a continuous binning, on the raw number.
+  size_t ContinuousBin(double x) const;
+  /// BinOf for a numeric value; -1 outside the support.
+  int64_t NumericBin(double x) const;
+
   std::string attr_;
   bool categorical_ = true;
   std::vector<Value> categories_;
   std::map<Value, size_t> category_index_;
+  /// The numeric categories as sorted, distinct doubles, and the bin
+  /// category_index_ maps each to (the first of equal categories).
+  std::vector<double> numeric_keys_;
+  std::vector<size_t> numeric_bins_;
   double lo_ = 0.0, hi_ = 1.0, width_ = 1.0;
   size_t num_continuous_bins_ = 0;
 };
@@ -106,25 +126,29 @@ class Marginal {
   /// Per-attribute bin indices from a flattened cell index.
   std::vector<size_t> CellCoords(size_t cell) const;
 
-  /// Flattened cell of one table row (resolves attribute columns by
-  /// name). NotFound when a categorical value is outside the
-  /// marginal's support.
-  [[nodiscard]] Result<size_t> CellOfRow(const Table& table, size_t row) const;
-
-  /// Cell ids for every row of `table`; -1 marks rows outside the
-  /// marginal's support. Column lookups are hoisted out of the loop.
+  /// The cell index of `table`: the flattened cell of every row, -1
+  /// for rows outside the marginal's support. Attribute columns are
+  /// resolved by name and binned from their typed storage
+  /// (AttributeBinning::FoldBins), so a row gets the cell its boxed
+  /// values would get from BinOf. IPF computes this once per fit and
+  /// every pass over the sample reads it.
   [[nodiscard]] Result<std::vector<int64_t>> CellIds(const Table& table) const;
 
   /// Draw n cells with probability proportional to their counts.
   std::vector<size_t> SampleCells(size_t n, Rng* rng) const;
 
   /// L1 distance between this marginal's *normalized* distribution
-  /// and the weighted empirical distribution of `table` (rows outside
-  /// the support contribute their mass to the error). This is the
-  /// convergence diagnostic for IPF and the marginal-fit metric in
-  /// the benches.
+  /// and the weighted empirical distribution of the rows whose cell
+  /// index (see CellIds) is `cells` (rows outside the support
+  /// contribute their mass to the error). This is IPF's convergence
+  /// diagnostic.
+  [[nodiscard]] Result<double> L1Error(const std::vector<int64_t>& cells,
+                                       const std::vector<double>& weights) const;
+
+  /// The same over `table`'s rows: the marginal-fit metric in the
+  /// benches and tests.
   [[nodiscard]] Result<double> L1Error(const Table& table,
-                         const std::vector<double>& weights) const;
+                                       const std::vector<double>& weights) const;
 
   /// Pretty rendering for debugging.
   std::string ToString(size_t max_cells = 10) const;

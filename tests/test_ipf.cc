@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 
@@ -212,6 +213,189 @@ TEST_P(IpfRandomSweep, ConvergesOnRandomInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IpfRandomSweep,
                          ::testing::Range(1, 13));
+
+// ---------------------------------------------------------------------------
+// Golden weight fingerprints: a change to how IPF bins rows or measures
+// its error must leave every fitted weight bit-identical. The constants
+// were recorded before cell ids were resolved from typed column storage
+// (they came from per-row Table::GetValue + AttributeBinning::BinOf).
+// They are pinned for x86-64 builds only, like Mswg's training
+// fingerprint: elsewhere the compiler may contract multiply-adds.
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv1a(const void* data, size_t len, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t FitFingerprint(const std::vector<double>& w, const IpfReport& r) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = Fnv1a(w.data(), w.size() * sizeof(double), h);
+  uint64_t iterations = r.iterations;
+  h = Fnv1a(&iterations, sizeof(iterations), h);
+  return Fnv1a(&r.max_l1_error, sizeof(double), h);
+}
+
+/// A biased sample and population marginals; `prefix` rows of the
+/// sample form the previous epoch of an incremental fit.
+struct GoldenWorld {
+  Table sample;
+  Table prefix;
+  std::vector<Marginal> marginals;
+};
+
+/// Copy of the first `n` rows of `t`.
+Table Prefix(const Table& t, size_t n) {
+  Table out(t.schema());
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      row.push_back(t.GetValue(r, c));
+    }
+    EXPECT_TRUE(out.AppendRow(row).ok());
+  }
+  return out;
+}
+
+/// String panel: region x product x channel, sampled with a bias on
+/// region and channel. The sample's dictionaries see values in a
+/// different order from the population's and hold a product ("zz")
+/// that no marginal knows.
+GoldenWorld StringPanelWorld() {
+  const char* regions[] = {"north", "south", "east", "west", "central"};
+  const char* products[] = {"p0", "p1", "p2", "p3", "p4", "p5"};
+  const char* channels[] = {"web", "store", "phone"};
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"region", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"product", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"channel", DataType::kString}).ok());
+  Table pop(s);
+  GoldenWorld w{Table(s), Table(s), {}};
+  Rng rng(7);
+  for (size_t i = 0; i < 6000; ++i) {
+    size_t reg = rng.UniformInt(uint64_t{5});
+    size_t prod = (reg + rng.UniformInt(uint64_t{4})) % 6;
+    size_t ch = rng.Uniform() < 0.5 ? 0 : 1 + rng.UniformInt(uint64_t{2});
+    std::vector<Value> row = {Value(regions[reg]), Value(products[prod]),
+                              Value(channels[ch])};
+    EXPECT_TRUE(pop.AppendRow(row).ok());
+    // Biased: central and phone rows are rarely sampled.
+    double keep = (reg == 4 ? 0.05 : 0.3) * (ch == 2 ? 0.3 : 1.0);
+    if (rng.Bernoulli(keep)) {
+      EXPECT_TRUE(w.sample.AppendRow(row).ok());
+    }
+    if (i % 150 == 0) {
+      EXPECT_TRUE(w.sample
+                      .AppendRow({Value(regions[reg]), Value("zz"),
+                                  Value(channels[ch])})
+                      .ok());
+    }
+  }
+  w.prefix = Prefix(w.sample, w.sample.num_rows() * 4 / 5);
+  for (const std::vector<std::string>& attrs :
+       std::vector<std::vector<std::string>>{
+           {"region"}, {"product"}, {"region", "channel"}}) {
+    auto m = Marginal::FromData(pop, attrs);
+    EXPECT_TRUE(m.ok());
+    w.marginals.push_back(std::move(m).value());
+  }
+  return w;
+}
+
+/// Numeric world: int64 `age` binned by category, double `income`
+/// binned continuously (the sample reaches past the population's
+/// range on both sides), many-valued int64 `score` that falls back to
+/// continuous bins, and a 2-D age x income marginal. Some sampled ages
+/// are outside the support.
+GoldenWorld NumericWorld() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"age", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"income", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"score", DataType::kInt64}).ok());
+  Table pop(s);
+  GoldenWorld w{Table(s), Table(s), {}};
+  Rng rng(11);
+  for (size_t i = 0; i < 6000; ++i) {
+    int64_t age = rng.UniformInt(int64_t{18}, int64_t{30});
+    double income = rng.Gaussian(40.0 + static_cast<double>(age), 8.0);
+    int64_t score = rng.UniformInt(int64_t{0}, int64_t{500});
+    std::vector<Value> row = {Value(age), Value(income), Value(score)};
+    EXPECT_TRUE(pop.AppendRow(row).ok());
+    double keep = age < 22 ? 0.4 : (income > 60.0 ? 0.05 : 0.15);
+    if (rng.Bernoulli(keep)) {
+      EXPECT_TRUE(w.sample.AppendRow(row).ok());
+    }
+    if (i % 200 == 0) {
+      int64_t odd_age = i % 600 == 0 ? int64_t{40} : age;
+      double odd_income = i % 400 == 0 ? -50.0 : 500.0;
+      EXPECT_TRUE(
+          w.sample.AppendRow({Value(odd_age), Value(odd_income), Value(score)})
+              .ok());
+    }
+  }
+  w.prefix = Prefix(w.sample, w.sample.num_rows() * 4 / 5);
+  const size_t max_int_categories = 16;
+  for (const std::vector<std::string>& attrs :
+       std::vector<std::vector<std::string>>{
+           {"age"}, {"income"}, {"score"}, {"age", "income"}}) {
+    auto m = Marginal::FromData(pop, attrs, 12, "", max_int_categories);
+    EXPECT_TRUE(m.ok());
+    w.marginals.push_back(std::move(m).value());
+  }
+  return w;
+}
+
+/// Fingerprints of a cold fit and of an incremental fit seeded from
+/// the prefix's cold fit. The out-of-support rows floor the error
+/// above the tolerance, so the warm fit is accepted the way ingest
+/// accepts it: no worse than twice the previous epoch's error.
+std::pair<uint64_t, uint64_t> GoldenFits(const GoldenWorld& w) {
+  IpfOptions opts;
+  opts.max_iterations = 60;
+  std::vector<double> cold(w.sample.num_rows(), 1.0);
+  auto cold_report =
+      IterativeProportionalFit(w.sample, w.marginals, &cold, opts);
+  EXPECT_TRUE(cold_report.ok()) << cold_report.status().ToString();
+  std::vector<double> previous(w.prefix.num_rows(), 1.0);
+  auto previous_report =
+      IterativeProportionalFit(w.prefix, w.marginals, &previous, opts);
+  EXPECT_TRUE(previous_report.ok());
+  if (!cold_report.ok() || !previous_report.ok()) return {0, 0};
+  opts.incremental_regress_threshold =
+      2.0 * previous_report->max_l1_error + opts.tolerance;
+  std::vector<double> warm;
+  auto warm_report = IncrementalProportionalFit(w.sample, w.marginals,
+                                                previous, &warm, opts);
+  EXPECT_TRUE(warm_report.ok()) << warm_report.status().ToString();
+  if (!warm_report.ok()) return {0, 0};
+  EXPECT_FALSE(warm_report->fell_back_to_cold);
+  return {FitFingerprint(cold, *cold_report),
+          FitFingerprint(warm, *warm_report)};
+}
+
+TEST(IpfGolden, StringPanelWeightsBitIdentical) {
+  auto [cold, warm] = GoldenFits(StringPanelWorld());
+  EXPECT_EQ(GoldenFits(StringPanelWorld()),
+            (std::pair<uint64_t, uint64_t>{cold, warm}));
+#if defined(__x86_64__)
+  EXPECT_EQ(cold, 0x06b9e59281ec5c01ULL) << std::hex << cold;
+  EXPECT_EQ(warm, 0xdb026a7cb9119f0eULL) << std::hex << warm;
+#endif
+}
+
+TEST(IpfGolden, NumericWeightsBitIdentical) {
+  auto [cold, warm] = GoldenFits(NumericWorld());
+  EXPECT_EQ(GoldenFits(NumericWorld()),
+            (std::pair<uint64_t, uint64_t>{cold, warm}));
+#if defined(__x86_64__)
+  EXPECT_EQ(cold, 0xc07b9d7f8ed4d7ecULL) << std::hex << cold;
+  EXPECT_EQ(warm, 0xa2a0e1416d68b143ULL) << std::hex << warm;
+#endif
+}
 
 }  // namespace
 }  // namespace stats

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 
 namespace mosaic {
@@ -234,6 +237,138 @@ TEST(Marginal, L1ErrorWrongWeightSizeFails) {
   auto m = Marginal::FromMetadataTable(MetadataTable1D());
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(m->L1Error(SampleRows(), {1.0}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The typed cell index equals the per-row BinOf composition
+// ---------------------------------------------------------------------------
+
+/// Cell ids the slow way: box every cell, BinOf each attribute, fold
+/// row-major; -1 when any attribute rejects the value.
+std::vector<int64_t> BoxedCellIds(const Marginal& m, const Table& t) {
+  std::vector<int64_t> cells(t.num_rows(), -1);
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<size_t> bins(m.arity());
+    bool in_support = true;
+    for (size_t a = 0; a < m.arity() && in_support; ++a) {
+      size_t col = *t.schema().ColumnIndex(m.binning(a).attr());
+      auto bin = m.binning(a).BinOf(t.GetValue(r, col));
+      in_support = bin.ok();
+      if (in_support) bins[a] = *bin;
+    }
+    if (in_support) cells[r] = static_cast<int64_t>(m.CellIndex(bins));
+  }
+  return cells;
+}
+
+/// Rows over every column type, with values inside, on the edge of and
+/// outside the binnings below. The string column's dictionary holds
+/// codes ("zz", "yy") that no marginal knows.
+Table TypedRows() {
+  Schema s;
+  EXPECT_TRUE(s.AddColumn({"s", DataType::kString}).ok());
+  EXPECT_TRUE(s.AddColumn({"i", DataType::kInt64}).ok());
+  EXPECT_TRUE(s.AddColumn({"d", DataType::kDouble}).ok());
+  EXPECT_TRUE(s.AddColumn({"b", DataType::kBool}).ok());
+  Table t(s);
+  const char* strings[] = {"zz", "red", "blue", "yy", "green"};
+  const double doubles[] = {-7.0, -1.0, 0.0,  0.25, 1.0,  2.0,
+                            2.5,  3.0,  3.75, 4.0,  10.0, 1e300,
+                            -0.0, 5.0,  1.5,  0.1};
+  Rng rng(3);
+  for (size_t r = 0; r < 400; ++r) {
+    int64_t i = rng.UniformInt(int64_t{-2}, int64_t{12});
+    double d = r % 7 == 0 ? doubles[r % 16] + rng.Uniform(-0.5, 0.5)
+                          : doubles[rng.UniformInt(uint64_t{16})];
+    EXPECT_TRUE(t.AppendRow({Value(strings[rng.UniformInt(uint64_t{5})]),
+                             Value(i), Value(d), Value(rng.Bernoulli(0.3))})
+                    .ok());
+  }
+  return t;
+}
+
+std::vector<AttributeBinning> TypedBinnings() {
+  return {
+      // Strings, with a category no row holds.
+      AttributeBinning::Categorical(
+          "s", {Value("red"), Value("green"), Value("mauve"), Value("blue")}),
+      // Integers against int/double-mixed categories: 2 and 2.0 are one
+      // category (the first wins), 3.5 matches no integer.
+      AttributeBinning::Categorical(
+          "i", {Value(int64_t{7}), Value(2.0), Value(int64_t{0}),
+                Value(int64_t{2}), Value(3.5), Value(int64_t{-2})}),
+      // Doubles against int/double-mixed categories.
+      AttributeBinning::Categorical(
+          "d", {Value(int64_t{4}), Value(2.5), Value(int64_t{-1}),
+                Value(0.25), Value(int64_t{0}), Value(1e300)}),
+      // Bools against numeric categories (true == 1).
+      AttributeBinning::Categorical("b", {Value(int64_t{1}), Value(false)}),
+      // Continuous: values below lo, at lo, on inner edges, at hi and
+      // above hi.
+      AttributeBinning::Continuous("d", 0.0, 4.0, 8),
+      AttributeBinning::Continuous("i", -1.0, 10.0, 3),
+      AttributeBinning::Continuous("b", 0.0, 1.0, 2),
+      // A string column under continuous bins: every row is outside.
+      AttributeBinning::Continuous("s", 0.0, 1.0, 2),
+  };
+}
+
+TEST(Marginal, TypedCellIdsEqualBoxedBinOf) {
+  const Table t = TypedRows();
+  const std::vector<AttributeBinning> binnings = TypedBinnings();
+  auto check = [&t](std::vector<AttributeBinning> attrs) {
+    size_t cells = 1;
+    std::string names;
+    for (const auto& a : attrs) {
+      cells *= a.num_bins();
+      names += a.attr() + " ";
+    }
+    auto m = Marginal::FromCounts(std::move(attrs),
+                                  std::vector<double>(cells, 1.0));
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    auto typed = m->CellIds(t);
+    ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+    EXPECT_EQ(*typed, BoxedCellIds(*m, t)) << names;
+  };
+  for (size_t a = 0; a < binnings.size(); ++a) {
+    check({binnings[a]});
+    for (size_t b = 0; b < binnings.size(); ++b) {
+      check({binnings[a], binnings[b]});
+    }
+  }
+}
+
+TEST(Marginal, TypedCellIdsEqualBoxedBinOfOnNaN) {
+  // NaN is unordered: whatever BinOf makes of it, the index agrees.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn({"d", DataType::kDouble}).ok());
+  Table t(s);
+  for (double d : {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0}) {
+    ASSERT_TRUE(t.AppendRow({Value(d)}).ok());
+  }
+  auto m = Marginal::FromCounts(
+      {AttributeBinning::Categorical("d", {Value(2.0), Value(1.0)})},
+      {1.0, 1.0});
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(*m->CellIds(t), BoxedCellIds(*m, t));
+}
+
+TEST(Marginal, L1ErrorOverCellsEqualsTableOverload) {
+  const Table t = TypedRows();
+  auto m = Marginal::FromCounts(
+      {TypedBinnings()[0], TypedBinnings()[4]},
+      std::vector<double>(4 * 8, 1.0));
+  ASSERT_TRUE(m.ok());
+  std::vector<double> w(t.num_rows());
+  for (size_t r = 0; r < w.size(); ++r) w[r] = 0.5 + 0.25 * (r % 5);
+  auto cells = m->CellIds(t);
+  ASSERT_TRUE(cells.ok());
+  auto by_cells = m->L1Error(*cells, w);
+  auto by_table = m->L1Error(t, w);
+  ASSERT_TRUE(by_cells.ok());
+  ASSERT_TRUE(by_table.ok());
+  EXPECT_EQ(*by_cells, *by_table);
+  EXPECT_FALSE(m->L1Error(*cells, {1.0}).ok());
 }
 
 }  // namespace

@@ -188,6 +188,32 @@ TEST(ModelCache, InvalidationForcesRetraining) {
   EXPECT_EQ(db.ModelCacheStats().insertions, 2u);
 }
 
+TEST(ModelCache, TrainingOptionChangeRetrains) {
+  // The cache key covers the options the generator trains with: after
+  // a change through mutable_open_options() a warm OPEN answers from
+  // a newly trained model, exactly as a fresh database would (on
+  // x86-64, L/S = 63.541667 / 36.458333 where the stale model gave
+  // 62.5 / 37.5).
+  const char* sql =
+      "SELECT OPEN size, COUNT(*) AS c FROM Things GROUP BY size ORDER BY "
+      "size";
+  core::Database db;
+  SetUpTinyWorld(&db);
+  auto before = db.Execute(sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  db.mutable_open_options()->mswg.epochs = 6;
+  auto warm = db.Execute(sql);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  core::Database fresh;
+  SetUpTinyWorld(&fresh);
+  fresh.mutable_open_options()->mswg.epochs = 6;
+  auto cold = fresh.Execute(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_TRUE(TablesEqual(*cold, *warm));
+  EXPECT_FALSE(TablesEqual(*before, *warm));
+  EXPECT_EQ(db.ModelCacheStats().insertions, 2u);
+}
+
 TEST(ModelCache, InvalidateSafeWhileQueriesInFlight) {
   core::Database db;
   SetUpTinyWorld(&db);
