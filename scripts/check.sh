@@ -244,6 +244,40 @@ echo "=== Release + MOSAIC_SIMD=0: scalar kernel parity ==="
 MOSAIC_SIMD=0 ctest --test-dir build-release --output-on-failure \
   -R 'test_(sql_fuzz|exec_parity|simd_kernels|nn|mswg|generator)'
 
+# AVX2-parity leg: on an AVX-512 host the default GEMM level is the
+# 8x8 AVX-512 tile, so the AVX2 4x8 tile would go unexercised end to
+# end. MOSAIC_SIMD=avx2 caps the GEMM at AVX2; the nn parity tests, the
+# M-SWG golden fingerprint, the generator suite and the W2 coupling
+# tests then pin AVX2 == AVX-512 == scalar for training and generation.
+echo "=== Release + MOSAIC_SIMD=avx2: AVX2 GEMM parity ==="
+MOSAIC_SIMD=avx2 ctest --test-dir build-release --output-on-failure \
+  -R 'test_(nn|mswg|generator|wasserstein)'
+
+# FMA-contraction guard: the M-SWG is pinned bit for bit across kernel
+# levels, so the floating-point code built for avx512f (which brings
+# FMA) must keep multiply and add apart. A fused multiply-add in these
+# Release objects means a function lost MOSAIC_NO_FP_CONTRACT
+# (common/cpu.h).
+echo "=== Release: no FMA in the bit-pinned M-SWG objects ==="
+if command -v objdump >/dev/null 2>&1; then
+  for obj in mosaic_nn.dir/src/nn/matrix.cc.o \
+             mosaic_core.dir/src/core/mswg.cc.o \
+             mosaic_stats.dir/src/stats/wasserstein.cc.o; do
+    path="build-release/CMakeFiles/${obj}"
+    [[ -f "${path}" ]] || { echo "ERROR: ${path} not built" >&2; exit 1; }
+    if objdump -d --no-show-raw-insn "${path}" \
+         | grep -E 'vf(n)?m(add|sub)' >/dev/null; then
+      echo "ERROR: FMA instructions in ${path}:" >&2
+      objdump -d --no-show-raw-insn "${path}" \
+        | grep -E 'vf(n)?m(add|sub)' | head -5 >&2
+      exit 1
+    fi
+  done
+  echo "no FMA instructions found"
+else
+  echo "objdump not found; skipping the FMA disassembly guard" >&2
+fi
+
 # UBSan leg over the executor tests, the durable storage suites, the
 # service suite, the nn/M-SWG suites and the IPF/marginal suites: the
 # SIMD layer leans on casts, bit tricks, and alignment assumptions, the

@@ -18,6 +18,8 @@ const char* SimdIsaName(SimdIsa isa) {
       return "avx2";
     case SimdIsa::kNeon:
       return "neon";
+    case SimdIsa::kAvx512:
+      return "avx512";
   }
   return "scalar";
 }
@@ -47,6 +49,15 @@ bool CpuSupports(SimdIsa isa) {
 #else
       return false;
 #endif
+    case SimdIsa::kAvx512:
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
+      // libgcc sets avx512f only when XGETBV shows the OS saves the
+      // opmask and ZMM state, and AVX-512F CPUs run the AVX2 kernels.
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f") && CpuSupports(SimdIsa::kAvx2);
+#else
+      return false;
+#endif
   }
   return false;
 }
@@ -63,12 +74,13 @@ std::optional<SimdIsa> ParseSimdOverride() {
       std::strcmp(env, "scalar") == 0) {
     return SimdIsa::kScalar;
   }
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kAvx512,
+                      SimdIsa::kNeon}) {
     if (std::strcmp(env, SimdIsaName(isa)) == 0) return isa;
   }
   std::fprintf(stderr,
                "mosaic: unknown MOSAIC_SIMD value '%s' "
-               "(want 0|scalar|sse2|avx2|neon|auto); using auto\n",
+               "(want 0|scalar|sse2|avx2|avx512|neon|auto); using auto\n",
                env);
   return std::nullopt;
 }
@@ -82,6 +94,7 @@ std::optional<SimdIsa> SimdOverride() {
 
 SimdIsa DetectBestSimdIsa() {
   if (CpuSupports(SimdIsa::kNeon)) return SimdIsa::kNeon;
+  if (CpuSupports(SimdIsa::kAvx512)) return SimdIsa::kAvx512;
   if (CpuSupports(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
   if (CpuSupports(SimdIsa::kSse2)) return SimdIsa::kSse2;
   return SimdIsa::kScalar;

@@ -206,36 +206,48 @@ Result<Table> MixedEncoder::Decode(const nn::Matrix& encoded) const {
         StrFormat("decode expects %zu columns, got %zu", encoded_dim_,
                   encoded.cols()));
   }
+  // Column at a time through the typed appends. A category's
+  // dictionary code is looked up once per call, at its first row, so
+  // codes come out in first-seen order as a row-wise append of boxed
+  // values would give them.
   Schema schema;
+  std::vector<Column> columns;
+  const size_t n = encoded.rows();
   for (const auto& attr : attrs_) {
     MOSAIC_RETURN_IF_ERROR(
         schema.AddColumn(ColumnDef{attr.name, attr.source_type}));
-  }
-  Table out(schema);
-  out.Reserve(encoded.rows());
-  std::vector<Value> row(attrs_.size());
-  for (size_t r = 0; r < encoded.rows(); ++r) {
-    for (size_t a = 0; a < attrs_.size(); ++a) {
-      const AttributeEncoding& attr = attrs_[a];
-      if (attr.categorical) {
-        // Binary forcing: argmax over the one-hot block / rounded
-        // bits for binary encoding.
+    Column col(attr.source_type);
+    col.Reserve(n);
+    if (attr.categorical) {
+      // Binary forcing: argmax over the one-hot block / rounded bits
+      // for binary encoding.
+      std::vector<int32_t> code_of(attr.categories.size(), -1);
+      for (size_t r = 0; r < n; ++r) {
         size_t k = ReadCategory(encoded, r, attr.start_col, attr.width,
                                 attr.categories.size(), attr.cat_encoding);
-        row[a] = attr.categories[k];
-      } else {
+        if (code_of[k] < 0) {
+          col.AppendString(attr.categories[k].AsString());
+          code_of[k] = col.GetCode(r);
+        } else {
+          col.AppendCode(code_of[k]);
+        }
+      }
+    } else {
+      for (size_t r = 0; r < n; ++r) {
         double scaled = std::clamp(encoded.at(r, attr.start_col), 0.0, 1.0);
         double raw = UnscaleNumeric(attr, scaled);
         if (attr.source_type == DataType::kInt64) {
-          row[a] = Value(static_cast<int64_t>(std::llround(raw)));
+          col.AppendInt64(static_cast<int64_t>(std::llround(raw)));
+        } else if (attr.source_type == DataType::kDouble) {
+          col.AppendDouble(raw);
         } else {
-          row[a] = Value(raw);
+          MOSAIC_RETURN_IF_ERROR(col.Append(Value(raw)));
         }
       }
     }
-    MOSAIC_RETURN_IF_ERROR(out.AppendRow(row));
+    columns.push_back(std::move(col));
   }
-  return out;
+  return Table(std::move(schema), std::move(columns), n);
 }
 
 Result<std::vector<size_t>> MixedEncoder::MarginalColumns(

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/cpu.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "stats/wasserstein.h"
@@ -33,6 +34,28 @@ namespace core {
 }
 
 namespace {
+
+/// dist[s] = sum over j = 0..d-1, in order, of (x[j] - picked[j *
+/// subset + s])^2: squared distances from one generated row to each
+/// picked sample row (column-major). The loop runs across s, so each
+/// clone vectorizes at its width with the same per-element sums; the
+/// avx512f clone keeps multiply and add apart (common/cpu.h).
+#ifdef MOSAIC_AVX512
+__attribute__((target_clones("avx512f", "avx2", "default")))
+MOSAIC_NO_FP_CONTRACT
+#endif
+void CoverageDistances(const double* x, size_t d, const double* picked,
+                       size_t subset, double* dist) {
+  std::fill(dist, dist + subset, 0.0);
+  for (size_t j = 0; j < d; ++j) {
+    const double xv = x[j];
+    const double* col = picked + j * subset;
+    for (size_t s = 0; s < subset; ++s) {
+      double diff = xv - col[s];
+      dist[s] += diff * diff;
+    }
+  }
+}
 
 /// Loss terms for one marginal, precomputed at training start.
 struct MarginalTerm {
@@ -185,11 +208,10 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
 
       // Sample-coverage term: λ E[min_y ||x - y||²] over a random
       // subset of the encoded sample. Full distances to every picked
-      // row are summed over j in order (the inner loop runs across the
-      // rows, so the compiler vectorizes it), and the first strict
-      // minimum wins. An early-exit scan, dropping a row once its
-      // partial sum reaches `best`, picks the same row, because
-      // partial sums of squares only grow.
+      // row are summed over j in order (CoverageDistances), and the
+      // first strict minimum wins. An early-exit scan, dropping a row
+      // once its partial sum reaches `best`, picks the same row,
+      // because partial sums of squares only grow.
       if (options.lambda > 0.0) {
         auto pick =
             rng.SampleWithoutReplacement(encoded_sample.rows(), subset);
@@ -200,15 +222,8 @@ Result<std::unique_ptr<Mswg>> Mswg::Train(
         }
         double inv_b = 1.0 / static_cast<double>(B);
         for (size_t i = 0; i < B; ++i) {
-          std::fill(dist.begin(), dist.end(), 0.0);
-          for (size_t j = 0; j < d; ++j) {
-            const double xv = x.at(i, j);
-            const double* col = picked.data() + j * subset;
-            for (size_t s = 0; s < subset; ++s) {
-              double diff = xv - col[s];
-              dist[s] += diff * diff;
-            }
-          }
+          CoverageDistances(x.data().data() + i * d, d, picked.data(),
+                            subset, dist.data());
           double best = 1e300;
           size_t best_r = 0;
           for (size_t s = 0; s < subset; ++s) {

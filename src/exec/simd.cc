@@ -50,6 +50,7 @@ const KernelTable* KernelsFor(SimdIsa isa) {
     case SimdIsa::kSse2:
       return internal::Sse2KernelsOrNull();
     case SimdIsa::kAvx2:
+    case SimdIsa::kAvx512:  // no AVX-512 executor kernels: the AVX2 table
       return internal::Avx2KernelsOrNull();
     case SimdIsa::kNeon:
       return internal::NeonKernelsOrNull();

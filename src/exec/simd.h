@@ -186,11 +186,13 @@ struct KernelTable {
 const KernelTable& ScalarKernels();
 
 /// Table for a specific level, or nullptr when that level was not
-/// compiled in or cannot run on this CPU.
+/// compiled in or cannot run on this CPU. kAvx512 yields the AVX2
+/// table: the executor has no kernels of its own at that level.
 const KernelTable* KernelsFor(SimdIsa isa);
 
 /// The table the executor uses: best compiled+supported level, unless
-/// MOSAIC_SIMD overrides (0/off/scalar, sse2, avx2, neon, or auto).
+/// MOSAIC_SIMD overrides (0/off/scalar, sse2, avx2, avx512, neon, or
+/// auto).
 /// Resolved once, cached for the process.
 const KernelTable& ActiveKernels();
 

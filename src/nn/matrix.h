@@ -14,9 +14,16 @@
 namespace mosaic {
 namespace nn {
 
-/// Kernel level of the matrix products: kAvx2 when this CPU runs AVX2
-/// and MOSAIC_SIMD does not ask for another level, else kScalar (SSE2
-/// and NEON have no GEMM of their own). Resolved once per process.
+/// Kernel level of the matrix products, resolved once per process:
+///   - kAvx512: an 8x8 tile, one zmm accumulator per row;
+///   - kAvx2: a 4x8 tile in eight ymm accumulators;
+///   - kScalar: the 4x8 reference tile.
+/// It is the highest of these that this CPU runs, capped by
+/// MOSAIC_SIMD: avx2 forces the AVX2 tile, 0 the scalar one, and sse2
+/// and neon (which have no GEMM of their own) the scalar one too. The
+/// AVX-512 tile is built with FMA contraction off in the source
+/// (MOSAIC_NO_FP_CONTRACT, common/cpu.h), so every level gives the
+/// same bits.
 SimdIsa GemmIsa();
 
 class Matrix {
@@ -56,7 +63,8 @@ class Matrix {
   /// order, starting from +0.0, with a separate multiply and add, so
   /// every kernel level gives the same bits (and the same bits as the
   /// plain triple loop, for finite inputs). `isa` picks the kernel:
-  /// kAvx2 where the CPU runs it, the scalar kernel otherwise.
+  /// kAvx512 or kAvx2 where the CPU runs it, the scalar kernel
+  /// otherwise.
   /// C = A * B.
   static Matrix MatMul(const Matrix& a, const Matrix& b,
                        SimdIsa isa = GemmIsa());

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
 #include <utility>
 
 namespace mosaic {
@@ -89,23 +89,137 @@ struct Atom {
   return MatchedW2Squared(xs, &ys, 1.0, &grad);
 }
 
-/// xs is sorted as {value, index} pairs under a value-only comparator:
-/// std::sort then makes exactly the comparisons and moves it makes on
-/// an index array compared by value, so ties keep index-sort order and
-/// M-SWG training stays bit-identical to that formulation. ys needs no
-/// indices and is sorted in place as plain values.
+namespace {
+
+/// Buckets of at most this many elements are insertion-sorted; larger
+/// ones (clustered values) go to std::sort, so the worst case stays
+/// O(n log n).
+constexpr size_t kInsertionSortMax = 32;
+
+double KeyOf(double v) { return v; }
+double KeyOf(const std::pair<double, size_t>& v) { return v.first; }
+
+/// Sorts *items ascending by key with a value-bucket sort: n buckets
+/// evenly over [min, max], filled by a counting pass. The bucket index
+/// is monotone in the key (a subtraction, a multiplication by a
+/// positive scale, a clamp and a truncation, each monotone under
+/// rounding), so every key in a bucket is below every key in a later
+/// one, and one insertion pass over the buckets' concatenation moves
+/// elements only inside their bucket. Buckets above kInsertionSortMax
+/// go to std::sort first. Returns false, with *items untouched, when a
+/// key is not finite or all keys are equal; equal keys may otherwise
+/// end up in any order. The scratch arrays are per thread and reused.
+template <typename T>
+bool BucketSort(std::vector<T>* items) {
+  const size_t n = items->size();
+  if (n == 0) return true;
+  if (n > static_cast<size_t>(INT32_MAX)) return false;
+  // Four independent min/max chains: one chain waits on the latency
+  // of every compare.
+  const T* in = items->data();
+  double lo[4], hi[4];
+  std::fill(lo, lo + 4, KeyOf(in[0]));
+  std::fill(hi, hi + 4, KeyOf(in[0]));
+  bool finite = true;
+  const auto scan = [&](size_t i, size_t chain) {
+    const double key = KeyOf(in[i]);
+    finite &= std::isfinite(key);
+    lo[chain] = key < lo[chain] ? key : lo[chain];
+    hi[chain] = hi[chain] < key ? key : hi[chain];
+  };
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t chain = 0; chain < 4; ++chain) scan(i + chain, chain);
+  }
+  for (; i < n; ++i) scan(i, 0);
+  if (!finite) return false;
+  if (n == 1) return true;
+  const double min = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
+  const double max = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
+  // max - min may overflow to inf: the scale is then 0 and everything
+  // shares bucket 0, which std::sort handles.
+  const double scale = static_cast<double>(n) / (max - min);
+  if (!std::isfinite(scale)) return false;
+  const double last = static_cast<double>(n - 1);
+
+  thread_local std::vector<uint32_t> bucket, end;
+  thread_local std::vector<T> out;
+  bucket.resize(n);
+  end.assign(n + 1, 0);
+  out.resize(n);
+  for (i = 0; i < n; ++i) {
+    bucket[i] = static_cast<uint32_t>(
+        static_cast<int32_t>(std::min((KeyOf(in[i]) - min) * scale, last)));
+  }
+  // end[b + 1] counts bucket b, then becomes where bucket b starts;
+  // the scatter advances it to where bucket b ends.
+  for (i = 0; i < n; ++i) ++end[bucket[i] + 1];
+  uint32_t largest = 0;
+  for (size_t b = 0; b < n; ++b) {
+    largest = std::max(largest, end[b + 1]);
+    end[b + 1] += end[b];
+  }
+  for (i = 0; i < n; ++i) out[end[bucket[i]]++] = in[i];
+
+  const auto less = [](const T& a, const T& b) { return KeyOf(a) < KeyOf(b); };
+  T* first = out.data();
+  if (largest > kInsertionSortMax) {
+    for (size_t b = 0, begin = 0; b < n; begin = end[b++]) {
+      if (end[b] - begin > kInsertionSortMax) {
+        std::sort(first + begin, first + end[b], less);
+      }
+    }
+  }
+  for (T* it = first + 1; it < first + n; ++it) {
+    if (!less(*it, it[-1])) continue;
+    const T v = *it;
+    T* hole = it;
+    do {
+      *hole = hole[-1];
+      --hole;
+    } while (hole > first && less(v, hole[-1]));
+    *hole = v;
+  }
+  items->swap(out);
+  return true;
+}
+
+}  // namespace
+
+bool SortDistinctFinite(std::vector<std::pair<double, size_t>>* items) {
+  if (!BucketSort(items)) return false;
+  for (size_t i = 1; i < items->size(); ++i) {
+    if (!((*items)[i - 1].first < (*items)[i].first)) return false;
+  }
+  return true;
+}
+
+/// xs is sorted as {value, index} pairs. When the values are finite
+/// and distinct, the bucket sort gives the one ascending order; when
+/// not (ties, -0.0 beside +0.0, inf or NaN), std::sort under a
+/// value-only comparator makes exactly the comparisons and moves it
+/// makes on an index array compared by value, so ties keep index-sort
+/// order. Either way M-SWG training stays bit-identical to that
+/// formulation. ys needs no indices: equal values have equal bits
+/// except -0.0 and +0.0, and their order changes no bit of the result,
+/// since d = x - (+-0) differs at most in the sign of a zero, d * d is
+/// +0.0 either way, and the +-0 gradient term lands in a slot that
+/// takes exactly one add into the caller's +0.0 fill.
 double MatchedW2Squared(const std::vector<double>& xs,
                         std::vector<double>* ys, double coef,
                         std::vector<double>* grad_x) {
   size_t n = xs.size();
   std::vector<std::pair<double, size_t>> x_sorted(n);
   for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
-  std::sort(x_sorted.begin(), x_sorted.end(),
-            [](const std::pair<double, size_t>& a,
-               const std::pair<double, size_t>& b) {
-              return a.first < b.first;
-            });
-  std::sort(ys->begin(), ys->end());
+  if (!SortDistinctFinite(&x_sorted)) {
+    for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
+    std::sort(x_sorted.begin(), x_sorted.end(),
+              [](const std::pair<double, size_t>& a,
+                 const std::pair<double, size_t>& b) {
+                return a.first < b.first;
+              });
+  }
+  if (!BucketSort(ys)) std::sort(ys->begin(), ys->end());
   double loss = 0.0;
   double inv_n = 1.0 / static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) {
@@ -114,23 +228,6 @@ double MatchedW2Squared(const std::vector<double>& xs,
     (*grad_x)[x_sorted[i].second] += coef * 2.0 * d * inv_n;
   }
   return coef * loss * inv_n;
-}
-
-[[nodiscard]] Result<std::vector<std::pair<size_t, size_t>>> SortedMatching(
-    const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size()) {
-    return Status::InvalidArgument("SortedMatching requires equal sizes");
-  }
-  std::vector<size_t> xi(xs.size()), yi(ys.size());
-  std::iota(xi.begin(), xi.end(), size_t{0});
-  std::iota(yi.begin(), yi.end(), size_t{0});
-  std::sort(xi.begin(), xi.end(),
-            [&](size_t a, size_t b) { return xs[a] < xs[b]; });
-  std::sort(yi.begin(), yi.end(),
-            [&](size_t a, size_t b) { return ys[a] < ys[b]; });
-  std::vector<std::pair<size_t, size_t>> pairs(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) pairs[i] = {xi[i], yi[i]};
-  return pairs;
 }
 
 std::vector<double> Project(const PointSet& points,

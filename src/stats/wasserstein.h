@@ -12,6 +12,7 @@
 #define MOSAIC_STATS_WASSERSTEIN_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,16 +45,20 @@ namespace stats {
 /// per-step loss: coef * W2² between equal-size, non-empty scalar
 /// batches under the sorted coupling, accumulating d(loss)/d(x_i)
 /// into (*grad_x)[i]. Sorts *ys in place; does not validate sizes.
+/// Gives the bits of the std::sort formulation (x as index-tagged
+/// pairs under a value-only comparator, ys as plain values) whenever
+/// *grad_x starts as +0.0 fills; the two may differ only in the sign
+/// of a zero gradient added to a -0.0 slot.
 double MatchedW2Squared(const std::vector<double>& xs,
                         std::vector<double>* ys, double coef,
                         std::vector<double>* grad_x);
 
-/// Sorted matching permutation: pairs[i] = (index into xs, index into
-/// ys) such that the i-th smallest x is matched to the i-th smallest
-/// y. Requires xs.size() == ys.size(). Exposed so the NN training
-/// loop can backpropagate through the matching.
-[[nodiscard]] Result<std::vector<std::pair<size_t, size_t>>> SortedMatching(
-    const std::vector<double>& xs, const std::vector<double>& ys);
+/// Sorts (value, index) pairs ascending by value with a value-bucket
+/// sort and returns true when every value is finite and no two are
+/// equal (so the order is the only ascending one). Otherwise returns
+/// false, leaving *items in an unspecified order; MatchedW2Squared
+/// then falls back to std::sort. A single finite pair is distinct.
+bool SortDistinctFinite(std::vector<std::pair<double, size_t>>* items);
 
 /// Points in R^d, row-major (n x d).
 struct PointSet {

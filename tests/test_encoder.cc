@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
+
 namespace mosaic {
 namespace core {
 namespace {
@@ -97,6 +101,39 @@ TEST(Encoder, DecodeClampsOutOfRange) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->GetValue(0, 1).AsInt64(), 300);
   EXPECT_DOUBLE_EQ(back->GetValue(0, 2).AsDouble(), 0.5);
+}
+
+// The typed, column-at-a-time decode must store exactly what appending
+// the same rows as boxed values stores: the same raw numbers and the
+// same dictionary codes (first-seen order), for both category codings.
+TEST(Encoder, DecodeStoresWhatRowWiseAppendStores) {
+  Table t = MixedSample();
+  for (CategoricalEncoding coding :
+       {CategoricalEncoding::kOneHot, CategoricalEncoding::kBinary}) {
+    auto enc = MixedEncoder::Fit(t, {}, coding);
+    ASSERT_TRUE(enc.ok());
+    Rng rng(17);
+    nn::Matrix m(200, enc->encoded_dim());
+    for (double& v : m.data()) v = rng.Uniform(-0.2, 1.2);
+    auto back = enc->Decode(m);
+    ASSERT_TRUE(back.ok());
+    Table ref(back->schema());
+    for (size_t r = 0; r < back->num_rows(); ++r) {
+      ASSERT_TRUE(ref.AppendRow(back->GetRow(r)).ok());
+    }
+    ASSERT_EQ(ref.num_rows(), 200u);
+    const Column& carrier = back->column(0);
+    EXPECT_EQ(carrier.dictionary().values(),
+              ref.column(0).dictionary().values());
+    EXPECT_EQ(0, std::memcmp(carrier.raw_codes(), ref.column(0).raw_codes(),
+                             200 * sizeof(int32_t)));
+    EXPECT_EQ(0, std::memcmp(back->column(1).raw_int64(),
+                             ref.column(1).raw_int64(),
+                             200 * sizeof(int64_t)));
+    EXPECT_EQ(0, std::memcmp(back->column(2).raw_double(),
+                             ref.column(2).raw_double(),
+                             200 * sizeof(double)));
+  }
 }
 
 TEST(Encoder, MarginalExtendsCategories) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,7 @@ bool SameBits(const Matrix& x, const Matrix& y) {
 std::vector<SimdIsa> GemmLevels() {
   std::vector<SimdIsa> levels = {SimdIsa::kScalar};
   if (CpuSupports(SimdIsa::kAvx2)) levels.push_back(SimdIsa::kAvx2);
+  if (CpuSupports(SimdIsa::kAvx512)) levels.push_back(SimdIsa::kAvx512);
   return levels;
 }
 
@@ -192,14 +194,19 @@ Matrix MakeInput(size_t rows, size_t cols, Fill fill, Rng* rng) {
   return m;
 }
 
+// Shapes around both tile heights (4 and 8) and the tile width (8),
+// and the M-SWG sizes: every edge-tile combination of each product.
 TEST(Gemm, ProductsMatchPlainLoopsBitForBitOnEveryLevel) {
-  const size_t dims[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 50};
+  const size_t dims[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 17, 50, 500};
   Rng rng(21);
   for (Fill fill : {Fill::kGaussian, Fill::kPostRelu, Fill::kSignedZeros,
                     Fill::kDenormals}) {
     for (size_t m : dims) {
       for (size_t n : dims) {
         for (size_t k : dims) {
+          // One side of 500 at a time covers the long panels and the
+          // long depth; two would dominate the suite's run time.
+          if ((m == 500) + (n == 500) + (k == 500) > 1) continue;
           const Matrix a = MakeInput(m, k, fill, &rng);
           const Matrix b = MakeInput(k, n, fill, &rng);
           const Matrix at = MakeInput(k, m, fill, &rng);
@@ -227,13 +234,22 @@ TEST(Gemm, ProductsMatchPlainLoopsBitForBitOnEveryLevel) {
 
 TEST(Gemm, DefaultLevelFollowsTheSimdOverride) {
   const SimdIsa isa = GemmIsa();
-  EXPECT_TRUE(isa == SimdIsa::kScalar || isa == SimdIsa::kAvx2);
-  if (SimdOverride().has_value() && *SimdOverride() != SimdIsa::kAvx2) {
+  EXPECT_TRUE(isa == SimdIsa::kScalar || isa == SimdIsa::kAvx2 ||
+              isa == SimdIsa::kAvx512);
+  EXPECT_TRUE(CpuSupports(isa));
+  const std::optional<SimdIsa> want = SimdOverride();
+  if (want.has_value() && *want != SimdIsa::kAvx2 &&
+      *want != SimdIsa::kAvx512) {
     EXPECT_EQ(isa, SimdIsa::kScalar);  // MOSAIC_SIMD=0 forces scalar
   }
-  if (isa == SimdIsa::kAvx2) {
-    EXPECT_TRUE(CpuSupports(SimdIsa::kAvx2));
+  if (want == SimdIsa::kAvx2 && CpuSupports(SimdIsa::kAvx2)) {
+    EXPECT_EQ(isa, SimdIsa::kAvx2);  // MOSAIC_SIMD=avx2 caps at AVX2
   }
+#ifdef MOSAIC_AVX512
+  if (!want.has_value() && CpuSupports(SimdIsa::kAvx512)) {
+    EXPECT_EQ(isa, SimdIsa::kAvx512);  // auto takes the top level
+  }
+#endif
 }
 
 TEST(Matrix, XavierBounds) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace mosaic {
 namespace stats {
@@ -84,14 +91,140 @@ TEST(W2SquaredMatched, SizeMismatchFails) {
   EXPECT_FALSE(Wasserstein2SquaredMatched({}, {}).ok());
 }
 
-TEST(SortedMatching, PairsSortedRanks) {
-  auto pairs = SortedMatching({3.0, 1.0, 2.0}, {30.0, 10.0, 20.0});
-  ASSERT_TRUE(pairs.ok());
-  // rank 0: x index 1 (value 1), y index 1 (value 10)
-  EXPECT_EQ((*pairs)[0].first, 1u);
-  EXPECT_EQ((*pairs)[0].second, 1u);
-  EXPECT_EQ((*pairs)[2].first, 0u);
-  EXPECT_EQ((*pairs)[2].second, 0u);
+// ---------------------------------------------------------------------------
+// MatchedW2Squared against the std::sort formulation it replaces: xs
+// sorted as index-tagged pairs under a value-only comparator, ys sorted
+// as plain values. Loss and every gradient slot must match bit for bit
+// (memcmp, so -0.0 differs from +0.0 and NaN payloads count), and only
+// distinct finite batches may take the bucket sort.
+// ---------------------------------------------------------------------------
+
+double ReferenceMatchedW2(const std::vector<double>& xs,
+                          std::vector<double> ys, double coef,
+                          std::vector<double>* grad_x) {
+  const size_t n = xs.size();
+  std::vector<std::pair<double, size_t>> x_sorted(n);
+  for (size_t i = 0; i < n; ++i) x_sorted[i] = {xs[i], i};
+  std::sort(x_sorted.begin(), x_sorted.end(),
+            [](const std::pair<double, size_t>& a,
+               const std::pair<double, size_t>& b) {
+              return a.first < b.first;
+            });
+  std::sort(ys.begin(), ys.end());
+  double loss = 0.0;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double d = x_sorted[i].first - ys[i];
+    loss += d * d;
+    (*grad_x)[x_sorted[i].second] += coef * 2.0 * d * inv_n;
+  }
+  return coef * loss * inv_n;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+enum class Shape {
+  kRandom,      // Gaussian: distinct values, the bucket path
+  kClustered,   // all but one value inside the first bucket
+  kConstant,    // every value equal
+  kTies,        // exact repeats
+  kSignedZero,  // -0.0 beside +0.0
+  kInfinite,    // +inf and -inf among the values
+  kNaN,
+};
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kRandom:
+      return "random";
+    case Shape::kClustered:
+      return "clustered";
+    case Shape::kConstant:
+      return "constant";
+    case Shape::kTies:
+      return "ties";
+    case Shape::kSignedZero:
+      return "signed-zero";
+    case Shape::kInfinite:
+      return "infinite";
+    case Shape::kNaN:
+      return "nan";
+  }
+  return "?";
+}
+
+std::vector<double> MakeBatch(size_t n, Shape shape, std::mt19937_64* gen) {
+  std::normal_distribution<double> g;
+  std::vector<double> v(n);
+  for (double& x : v) x = g(*gen);
+  switch (shape) {
+    case Shape::kRandom:
+      break;
+    case Shape::kClustered:
+      for (double& x : v) x = 1e-9 * x;
+      v[n / 2] = 1e6;
+      break;
+    case Shape::kConstant:
+      for (double& x : v) x = 0.25;
+      break;
+    case Shape::kTies:
+      for (size_t i = 0; i < n; ++i) v[i] = std::round(4.0 * v[i]) / 4.0;
+      if (n > 1) v[n - 1] = v[0];
+      break;
+    case Shape::kSignedZero:
+      for (size_t i = 0; i < n; i += 3) v[i] = -0.0;
+      for (size_t i = 1; i < n; i += 3) v[i] = 0.0;
+      break;
+    case Shape::kInfinite:
+      v[0] = std::numeric_limits<double>::infinity();
+      if (n > 1) v[n - 1] = -std::numeric_limits<double>::infinity();
+      break;
+    case Shape::kNaN:
+      v[n / 2] = std::numeric_limits<double>::quiet_NaN();
+      break;
+  }
+  return v;
+}
+
+TEST(W2SquaredMatched, BitIdenticalToTheStdSortFormulation) {
+  std::mt19937_64 gen(5);
+  const Shape shapes[] = {Shape::kRandom,     Shape::kClustered,
+                          Shape::kConstant,   Shape::kTies,
+                          Shape::kSignedZero, Shape::kInfinite,
+                          Shape::kNaN};
+  for (size_t n : {1, 2, 3, 50, 500}) {
+    for (Shape xshape : shapes) {
+      for (Shape yshape : shapes) {
+        const std::vector<double> xs = MakeBatch(n, xshape, &gen);
+        const std::vector<double> ys = MakeBatch(n, yshape, &gen);
+        const std::string where = std::string("n=") + std::to_string(n) +
+                                  " x=" + ShapeName(xshape) +
+                                  " y=" + ShapeName(yshape);
+        // The bucket path takes distinct finite x only; ties and
+        // non-finite values go to the std::sort fallback.
+        std::vector<std::pair<double, size_t>> items(n);
+        for (size_t i = 0; i < n; ++i) items[i] = {xs[i], i};
+        const bool distinct_finite =
+            xshape == Shape::kRandom || xshape == Shape::kClustered ||
+            (n == 1 && xshape != Shape::kInfinite && xshape != Shape::kNaN);
+        ASSERT_EQ(SortDistinctFinite(&items), distinct_finite) << where;
+        for (size_t i = 0; distinct_finite && i < n; ++i) {
+          ASSERT_TRUE(SameBits(items[i].first, xs[items[i].second])) << where;
+          if (i > 0) {
+            ASSERT_LT(items[i - 1].first, items[i].first) << where;
+          }
+        }
+        std::vector<double> want_grad(n, 0.0), grad(n, 0.0);
+        const double want = ReferenceMatchedW2(xs, ys, 0.75, &want_grad);
+        std::vector<double> ys_copy = ys;
+        const double got = MatchedW2Squared(xs, &ys_copy, 0.75, &grad);
+        ASSERT_TRUE(SameBits(got, want)) << where;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(SameBits(grad[i], want_grad[i])) << where << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 PointSet MakePoints(std::vector<std::pair<double, double>> pts) {
