@@ -206,10 +206,11 @@ Result<Table> MixedEncoder::Decode(const nn::Matrix& encoded) const {
         StrFormat("decode expects %zu columns, got %zu", encoded_dim_,
                   encoded.cols()));
   }
-  // Column at a time through the typed appends. A category's
-  // dictionary code is looked up once per call, at its first row, so
-  // codes come out in first-seen order as a row-wise append of boxed
-  // values would give them.
+  // Column at a time through the typed appends. A category goes
+  // through the casting append once per call, at its first row (a
+  // category taken from a marginal may be an int on a string column),
+  // and its code is reused after that, so codes come out in first-seen
+  // order as a row-wise append of boxed values would give them.
   Schema schema;
   std::vector<Column> columns;
   const size_t n = encoded.rows();
@@ -226,7 +227,7 @@ Result<Table> MixedEncoder::Decode(const nn::Matrix& encoded) const {
         size_t k = ReadCategory(encoded, r, attr.start_col, attr.width,
                                 attr.categories.size(), attr.cat_encoding);
         if (code_of[k] < 0) {
-          col.AppendString(attr.categories[k].AsString());
+          MOSAIC_RETURN_IF_ERROR(col.Append(attr.categories[k]));
           code_of[k] = col.GetCode(r);
         } else {
           col.AppendCode(code_of[k]);

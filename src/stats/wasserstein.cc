@@ -107,37 +107,26 @@ double KeyOf(const std::pair<double, size_t>& v) { return v.first; }
 /// one, and one insertion pass over the buckets' concatenation moves
 /// elements only inside their bucket. Buckets above kInsertionSortMax
 /// go to std::sort first. Returns false, with *items untouched, when a
-/// key is not finite or all keys are equal; equal keys may otherwise
-/// end up in any order. The scratch arrays are per thread and reused.
+/// key is not finite, the keys span more than DBL_MAX or all keys are
+/// equal; equal keys may otherwise end up in any order. The scratch arrays are per thread and reused.
 template <typename T>
 bool BucketSort(std::vector<T>* items) {
   const size_t n = items->size();
   if (n == 0) return true;
   if (n > static_cast<size_t>(INT32_MAX)) return false;
-  // Four independent min/max chains: one chain waits on the latency
-  // of every compare.
   const T* in = items->data();
-  double lo[4], hi[4];
-  std::fill(lo, lo + 4, KeyOf(in[0]));
-  std::fill(hi, hi + 4, KeyOf(in[0]));
+  double min = KeyOf(in[0]), max = min;
   bool finite = true;
-  const auto scan = [&](size_t i, size_t chain) {
+  for (size_t i = 0; i < n; ++i) {
     const double key = KeyOf(in[i]);
     finite &= std::isfinite(key);
-    lo[chain] = key < lo[chain] ? key : lo[chain];
-    hi[chain] = hi[chain] < key ? key : hi[chain];
-  };
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t chain = 0; chain < 4; ++chain) scan(i + chain, chain);
+    min = key < min ? key : min;
+    max = max < key ? key : max;
   }
-  for (; i < n; ++i) scan(i, 0);
-  if (!finite) return false;
+  // A span wider than DBL_MAX (say -1e308 and 1e308) overflows to inf
+  // and would make the scale 0 and (key - min) * scale a NaN.
+  if (!finite || !std::isfinite(max - min)) return false;
   if (n == 1) return true;
-  const double min = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
-  const double max = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
-  // max - min may overflow to inf: the scale is then 0 and everything
-  // shares bucket 0, which std::sort handles.
   const double scale = static_cast<double>(n) / (max - min);
   if (!std::isfinite(scale)) return false;
   const double last = static_cast<double>(n - 1);
@@ -147,19 +136,19 @@ bool BucketSort(std::vector<T>* items) {
   bucket.resize(n);
   end.assign(n + 1, 0);
   out.resize(n);
-  for (i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     bucket[i] = static_cast<uint32_t>(
         static_cast<int32_t>(std::min((KeyOf(in[i]) - min) * scale, last)));
   }
   // end[b + 1] counts bucket b, then becomes where bucket b starts;
   // the scatter advances it to where bucket b ends.
-  for (i = 0; i < n; ++i) ++end[bucket[i] + 1];
+  for (size_t i = 0; i < n; ++i) ++end[bucket[i] + 1];
   uint32_t largest = 0;
   for (size_t b = 0; b < n; ++b) {
     largest = std::max(largest, end[b + 1]);
     end[b + 1] += end[b];
   }
-  for (i = 0; i < n; ++i) out[end[bucket[i]]++] = in[i];
+  for (size_t i = 0; i < n; ++i) out[end[bucket[i]]++] = in[i];
 
   const auto less = [](const T& a, const T& b) { return KeyOf(a) < KeyOf(b); };
   T* first = out.data();
@@ -196,15 +185,15 @@ bool SortDistinctFinite(std::vector<std::pair<double, size_t>>* items) {
 
 /// xs is sorted as {value, index} pairs. When the values are finite
 /// and distinct, the bucket sort gives the one ascending order; when
-/// not (ties, -0.0 beside +0.0, inf or NaN), std::sort under a
-/// value-only comparator makes exactly the comparisons and moves it
-/// makes on an index array compared by value, so ties keep index-sort
-/// order. Either way M-SWG training stays bit-identical to that
-/// formulation. ys needs no indices: equal values have equal bits
-/// except -0.0 and +0.0, and their order changes no bit of the result,
-/// since d = x - (+-0) differs at most in the sign of a zero, d * d is
-/// +0.0 either way, and the +-0 gradient term lands in a slot that
-/// takes exactly one add into the caller's +0.0 fill.
+/// not (ties, -0.0 beside +0.0, inf, NaN or a span past DBL_MAX),
+/// std::sort under a value-only comparator makes exactly the
+/// comparisons and moves it makes on an index array compared by value,
+/// so ties keep index-sort order. Either way M-SWG training stays
+/// bit-identical to that formulation. ys needs no indices: equal values
+/// have equal bits except -0.0 and +0.0, and their order changes no bit
+/// of the result, since d = x - (+-0) differs at most in the sign of a
+/// zero, d * d is +0.0 either way, and the +-0 gradient term lands in a
+/// slot that takes exactly one add into the caller's +0.0 fill.
 double MatchedW2Squared(const std::vector<double>& xs,
                         std::vector<double>* ys, double coef,
                         std::vector<double>* grad_x) {

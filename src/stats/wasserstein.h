@@ -54,10 +54,11 @@ double MatchedW2Squared(const std::vector<double>& xs,
                         std::vector<double>* grad_x);
 
 /// Sorts (value, index) pairs ascending by value with a value-bucket
-/// sort and returns true when every value is finite and no two are
-/// equal (so the order is the only ascending one). Otherwise returns
-/// false, leaving *items in an unspecified order; MatchedW2Squared
-/// then falls back to std::sort. A single finite pair is distinct.
+/// sort and returns true when every value is finite, no two are equal
+/// (so the order is the only ascending one) and max - min does not
+/// overflow. Otherwise returns false, leaving *items in an unspecified
+/// order; MatchedW2Squared then falls back to std::sort. A single
+/// finite pair is distinct.
 bool SortDistinctFinite(std::vector<std::pair<double, size_t>>* items);
 
 /// Points in R^d, row-major (n x d).

@@ -136,6 +136,44 @@ TEST(Encoder, DecodeStoresWhatRowWiseAppendStores) {
   }
 }
 
+// A metadata marginal over an INT column can give a string attribute
+// int categories; decode casts them as a boxed append does.
+TEST(Encoder, DecodeCastsAnIntCategoryOnAStringColumn) {
+  auto marginal = stats::Marginal::FromCounts(
+      {stats::AttributeBinning::Categorical(
+          "carrier", {Value("AA"), Value(int64_t{94110}), Value("WN")})},
+      {10, 5, 20});
+  ASSERT_TRUE(marginal.ok());
+  auto enc = MixedEncoder::Fit(MixedSample(), {*marginal});
+  ASSERT_TRUE(enc.ok());
+  const auto* carrier = *enc->AttributeByName("carrier");
+  ASSERT_EQ(carrier->width, 3u);
+  nn::Matrix m(9, enc->encoded_dim());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    m.at(r, carrier->start_col + (r * 2) % carrier->width) = 1.0;
+  }
+  auto back = enc->Decode(m);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  Table ref(back->schema());
+  std::vector<Value> row(3);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    row[0] = carrier->categories[(r * 2) % carrier->width];
+    row[1] = back->GetValue(r, 1);
+    row[2] = back->GetValue(r, 2);
+    ASSERT_TRUE(ref.AppendRow(row).ok());
+  }
+  EXPECT_EQ(back->column(0).dictionary().values(),
+            ref.column(0).dictionary().values());
+  EXPECT_EQ(0, std::memcmp(back->column(0).raw_codes(),
+                           ref.column(0).raw_codes(),
+                           m.rows() * sizeof(int32_t)));
+  bool saw_int = false;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    saw_int |= back->GetValue(r, 0).AsString() == "94110";
+  }
+  EXPECT_TRUE(saw_int);
+}
+
 TEST(Encoder, MarginalExtendsCategories) {
   // The marginal mentions carrier US which the sample lacks; the
   // encoder must reserve a one-hot slot for it (§5.3's light-hitter

@@ -131,6 +131,7 @@ enum class Shape {
   kSignedZero,  // -0.0 beside +0.0
   kInfinite,    // +inf and -inf among the values
   kNaN,
+  kHugeSpan,    // finite, but max - min overflows to inf
 };
 
 const char* ShapeName(Shape s) {
@@ -149,6 +150,8 @@ const char* ShapeName(Shape s) {
       return "infinite";
     case Shape::kNaN:
       return "nan";
+    case Shape::kHugeSpan:
+      return "huge-span";
   }
   return "?";
 }
@@ -182,6 +185,10 @@ std::vector<double> MakeBatch(size_t n, Shape shape, std::mt19937_64* gen) {
     case Shape::kNaN:
       v[n / 2] = std::numeric_limits<double>::quiet_NaN();
       break;
+    case Shape::kHugeSpan:
+      v[0] = 1e308;
+      if (n > 1) v[n - 1] = -1e308;
+      break;
   }
   return v;
 }
@@ -191,7 +198,7 @@ TEST(W2SquaredMatched, BitIdenticalToTheStdSortFormulation) {
   const Shape shapes[] = {Shape::kRandom,     Shape::kClustered,
                           Shape::kConstant,   Shape::kTies,
                           Shape::kSignedZero, Shape::kInfinite,
-                          Shape::kNaN};
+                          Shape::kNaN,        Shape::kHugeSpan};
   for (size_t n : {1, 2, 3, 50, 500}) {
     for (Shape xshape : shapes) {
       for (Shape yshape : shapes) {
@@ -200,15 +207,16 @@ TEST(W2SquaredMatched, BitIdenticalToTheStdSortFormulation) {
         const std::string where = std::string("n=") + std::to_string(n) +
                                   " x=" + ShapeName(xshape) +
                                   " y=" + ShapeName(yshape);
-        // The bucket path takes distinct finite x only; ties and
-        // non-finite values go to the std::sort fallback.
+        // The bucket path takes distinct finite x spanning at most
+        // DBL_MAX only; ties, non-finite values and wider spans go to
+        // the std::sort fallback.
         std::vector<std::pair<double, size_t>> items(n);
         for (size_t i = 0; i < n; ++i) items[i] = {xs[i], i};
-        const bool distinct_finite =
+        const bool bucketed =
             xshape == Shape::kRandom || xshape == Shape::kClustered ||
             (n == 1 && xshape != Shape::kInfinite && xshape != Shape::kNaN);
-        ASSERT_EQ(SortDistinctFinite(&items), distinct_finite) << where;
-        for (size_t i = 0; distinct_finite && i < n; ++i) {
+        ASSERT_EQ(SortDistinctFinite(&items), bucketed) << where;
+        for (size_t i = 0; bucketed && i < n; ++i) {
           ASSERT_TRUE(SameBits(items[i].first, xs[items[i].second])) << where;
           if (i > 0) {
             ASSERT_LT(items[i - 1].first, items[i].first) << where;
